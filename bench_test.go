@@ -8,6 +8,7 @@ package dbre
 // the same comparisons as readable tables.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -284,7 +285,7 @@ func BenchmarkINDParallel(b *testing.B) {
 	for _, workers := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ind.DiscoverParallel(w.DB, q, expert.Deny{}, workers); err != nil {
+				if _, err := ind.DiscoverOptsCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -309,14 +310,14 @@ func BenchmarkINDDiscovery(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ind.DiscoverOpts(w.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
+			if _, err := ind.DiscoverOptsCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ind.DiscoverOpts(w.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(w.DB), Workers: -1}); err != nil {
+			if _, err := ind.DiscoverOptsCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(w.DB), Workers: -1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -351,7 +352,7 @@ func BenchmarkEngineRHSDiscovery(b *testing.B) {
 		}
 		b.Run(eng.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := fd.DiscoverRHSOpts(w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
+				if _, err := fd.DiscoverRHSOptsCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -378,14 +379,14 @@ func BenchmarkRHSDiscovery(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.DiscoverRHSOpts(w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
+			if _, err := fd.DiscoverRHSOptsCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.DiscoverRHSOpts(w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB), Workers: -1}); err != nil {
+			if _, err := fd.DiscoverRHSOptsCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB), Workers: -1}); err != nil {
 				b.Fatal(err)
 			}
 		}

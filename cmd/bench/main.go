@@ -3,8 +3,8 @@
 // against the expected sets) and the quantitative tables B1–B17
 // (query-guided vs exhaustive discovery, scalability, corruption sweeps,
 // the statistics cache, the columnar storage engine and its refinement
-// kernels, parallel batched ingest, the sketch-based approximate
-// discovery tier, snapshot persistence vs cold re-ingest, incremental
+// kernels, parallel batched ingest, exact discovery on adversarial
+// near-miss columns, snapshot persistence vs cold re-ingest, incremental
 // re-validation vs full re-discovery under live appends, and the job
 // server's resident dataset pool vs cold per-job serving).
 //
@@ -42,7 +42,6 @@ import (
 	"dbre/internal/obs"
 	"dbre/internal/paperex"
 	"dbre/internal/relation"
-	"dbre/internal/sketch"
 	"dbre/internal/stats"
 	"dbre/internal/storage"
 	"dbre/internal/table"
@@ -97,7 +96,7 @@ func registry() []experiment {
 		{"B11", "observability layer: tracing overhead, disabled-path allocations", runB11},
 		{"B12", "refinement kernel overhaul: dense remapping, prefix reuse, pooled scratch", runB12},
 		{"B13", "parallel batched ingest: chunked loaders, columnar appender, dictionary merge", runB13},
-		{"B14", "sketch triage tier: certain pruning vs exact-only discovery on near-miss INDs", runB14},
+		{"B14", "near-miss INDs: exhaustive unary baseline and RHS-Discovery on the exact kernels", runB14},
 		{"B15", "persistence: cold CSV re-ingest vs warm snapshot boot and lazy column loading", runB15},
 		{"B16", "incremental discovery: delta re-validation vs full re-discovery after a 1% append", runB16},
 		{"B17", "resident dataset pool: cold per-job serving vs warm cross-job cache sharing", runB17},
@@ -424,6 +423,11 @@ func printTable(w io.Writer, header []string, rows [][]string) {
 	}
 }
 
+// gatedWorkers is the counting fan-out of the perf-gated B9, B12 and
+// B14 legs: every core, the configuration their checked-in
+// BENCH_<id>.json baselines were recorded in.
+const gatedWorkers = -1
+
 func mustWorkload(spec workload.Spec) *workload.Workload {
 	w, err := workload.Generate(spec)
 	if err != nil {
@@ -714,7 +718,7 @@ func runB9(w io.Writer) error {
 	}
 	indUnWall := time.Since(start)
 	start = time.Now()
-	indCa, err := ind.DiscoverOpts(wl.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(wl.DB)})
+	indCa, err := ind.DiscoverOptsCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(wl.DB), Workers: gatedWorkers})
 	if err != nil {
 		return err
 	}
@@ -730,7 +734,7 @@ func runB9(w io.Writer) error {
 	}
 	rhsUnWall := time.Since(start)
 	start = time.Now()
-	rhsCa, err := fd.DiscoverRHSOpts(wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB)})
+	rhsCa, err := fd.DiscoverRHSOptsCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB), Workers: gatedWorkers})
 	if err != nil {
 		return err
 	}
@@ -800,7 +804,7 @@ func runB10(w io.Writer) error {
 		runtime.ReadMemStats(&m)
 		a0 := m.TotalAlloc
 		start := time.Now()
-		out, err := fd.DiscoverRHSOpts(wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache})
+		out, err := fd.DiscoverRHSOptsCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache})
 		if err != nil {
 			return result{}, err
 		}
@@ -990,7 +994,7 @@ func runB12(w io.Writer) error {
 			cache.SetPrefixReuse(!legacy)
 			runtime.GC()
 			start := time.Now()
-			out, err := fd.DiscoverRHSOpts(wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache, Legacy: legacy})
+			out, err := fd.DiscoverRHSOptsCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache, Legacy: legacy, Workers: gatedWorkers})
 			if err != nil {
 				return 0, 0, err
 			}
@@ -1016,7 +1020,7 @@ func runB12(w io.Writer) error {
 	tr := obs.NewTracer("b12")
 	cache := stats.NewCache(wl.DB)
 	cache.SetTracer(tr)
-	if _, err := fd.DiscoverRHSOpts(wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache}); err != nil {
+	if _, err := fd.DiscoverRHSOptsCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache, Workers: gatedWorkers}); err != nil {
 		return err
 	}
 	denseSteps := tr.Count(obs.CtrRefineDense)
@@ -1370,19 +1374,15 @@ func runB13(w io.Writer) error {
 	return nil
 }
 
-// runB14 measures the sketch-based approximate discovery tier on the
-// adversarial near-miss workload of EXPERIMENTS.md B14: 100k fact tuples
-// whose fact relations carry 16 far-miss attributes each (per-attribute
-// disjoint value ranges — a quadratic mass of certainly-prunable non-IND
-// candidates) and 2 near-miss attributes (one shared range salted with
-// rare sentinels — candidates the signatures usually cannot refute, so
-// they must escalate to the exact kernel). Three legs, each exact-only vs
-// sketch-triaged: exhaustive unary baseline discovery, query-guided
-// IND-Discovery, and RHS-Discovery. Every leg must produce bit-identical
-// results — the tier's contract is that it only skips work whose outcome
-// is proven — and the baseline leg must prune the exercised candidate
-// space by ≥ 10x. scripts/perfgate.sh compares the -json output against
-// the checked-in BENCH_B14.json.
+// runB14 measures the exact discovery kernels on the adversarial
+// near-miss workload of EXPERIMENTS.md B14: 100k fact tuples whose fact
+// relations carry 16 far-miss attributes each (per-attribute disjoint
+// value ranges — a quadratic mass of non-IND candidates) and 2 near-miss
+// attributes (one shared range salted with rare sentinels — candidates
+// that fail containment only by a handful of values). Two legs:
+// exhaustive unary baseline discovery and RHS-Discovery over the planted
+// links, both through the statistics cache. scripts/perfgate.sh compares
+// the -json output against the checked-in BENCH_B14.json.
 func runB14(w io.Writer) error {
 	spec := workload.Spec{
 		Seed:              42,
@@ -1399,128 +1399,31 @@ func runB14(w io.Writer) error {
 	}
 	wl := mustWorkload(spec)
 
-	// Sketch maintenance normally rides ingest (csvio -sketch); the
-	// generated workload inserts rows directly, so build the sketches
-	// explicitly and price the pass separately.
-	buildStart := time.Now()
-	for _, name := range wl.DB.Catalog().Names() {
-		if s := wl.DB.MustTable(name).EnableSketches(sketch.Config{}); s != nil {
-			s.CatchUp()
-		}
-	}
-	buildWall := time.Since(buildStart)
-
-	// Leg 1: exhaustive unary baseline, exact vs sketch-triaged.
-	baseOpts := ind.BaselineOptions{MaxArity: 1, TypePruning: true}
 	start := time.Now()
-	opts := baseOpts
-	opts.Stats = stats.NewCache(wl.DB)
-	ex, err := ind.DiscoverBaseline(wl.DB, opts)
+	ex, err := ind.DiscoverBaseline(wl.DB, ind.BaselineOptions{MaxArity: 1, TypePruning: true, Stats: stats.NewCache(wl.DB), Workers: gatedWorkers})
 	if err != nil {
 		return err
 	}
 	exWall := time.Since(start)
-	tr := obs.NewTracer("b14")
-	start = time.Now()
-	opts = baseOpts
-	opts.Stats = stats.NewCache(wl.DB)
-	opts.Sketch = true
-	sk, err := ind.DiscoverBaselineCtx(obs.NewContext(context.Background(), tr), wl.DB, opts)
-	if err != nil {
-		return err
-	}
-	skWall := time.Since(start)
-	if ex.INDs.String() != sk.INDs.String() {
-		return fmt.Errorf("B14: sketch-triaged baseline diverged from exact-only")
-	}
-	if got := sk.SketchPruned + sk.SketchEscalated; got != ex.CandidatesTested {
-		return fmt.Errorf("B14: triage split %d+%d does not cover the %d exact tests",
-			sk.SketchPruned, sk.SketchEscalated, ex.CandidatesTested)
-	}
-	if sk.SketchEscalated == 0 {
-		return fmt.Errorf("B14: no escalations — the near-miss columns failed to defeat the signatures")
-	}
-	if c := tr.Count(obs.CtrSketchPrunes); c != int64(sk.SketchPruned) {
-		return fmt.Errorf("B14: sketch-prunes counter %d != result %d", c, sk.SketchPruned)
-	}
-	ratio := float64(ex.CandidatesTested) / float64(sk.SketchEscalated)
-	if ratio < 10 {
-		return fmt.Errorf("B14: candidate-space pruning %.1fx below the 10x target", ratio)
-	}
 
-	// Leg 2: query-guided IND-Discovery, exact vs sketch-triaged. The
-	// program joins are true or near inclusions, so few joins are
-	// certainly empty — the leg pins divergence-freedom on the guided
-	// path (outcomes carry the same counts either way), not pruning mass.
-	q, _ := dbre.ScanPrograms(wl.DB, wl.Programs)
-	gEx, err := ind.DiscoverOpts(wl.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(wl.DB)})
-	if err != nil {
-		return err
-	}
-	gtr := obs.NewTracer("b14-guided")
-	gSk, err := ind.DiscoverOptsCtx(obs.NewContext(context.Background(), gtr), wl.DB, q, expert.Deny{},
-		ind.Opts{Stats: stats.NewCache(wl.DB), Sketch: true})
-	if err != nil {
-		return err
-	}
-	if gEx.INDs.String() != gSk.INDs.String() || len(gEx.Outcomes) != len(gSk.Outcomes) {
-		return fmt.Errorf("B14: sketch-triaged guided discovery diverged from exact-only")
-	}
-	for i := range gEx.Outcomes {
-		if gEx.Outcomes[i].String() != gSk.Outcomes[i].String() {
-			return fmt.Errorf("B14: guided outcome %d diverged: %s vs %s",
-				i, gEx.Outcomes[i], gSk.Outcomes[i])
-		}
-	}
-
-	// Leg 3: RHS-Discovery, exact vs sketch-triaged, support-insensitive
-	// expert (so the sample-refutation fast path is live).
 	var lhs []relation.Ref
 	for _, l := range wl.Truth.Links {
 		lhs = append(lhs, relation.NewRef(l.Fact, l.FKs...))
 	}
 	start = time.Now()
-	rhsEx, err := fd.DiscoverRHSOpts(wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB)})
+	rhsEx, err := fd.DiscoverRHSOptsCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB), Workers: gatedWorkers})
 	if err != nil {
 		return err
 	}
 	rhsExWall := time.Since(start)
-	ftr := obs.NewTracer("b14-rhs")
-	start = time.Now()
-	rhsSk, err := fd.DiscoverRHSOptsCtx(obs.NewContext(context.Background(), ftr), wl.DB, lhs, nil,
-		expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB), Sketch: true})
-	if err != nil {
-		return err
-	}
-	rhsSkWall := time.Since(start)
-	if fmt.Sprint(rhsEx.FDs) != fmt.Sprint(rhsSk.FDs) ||
-		fmt.Sprint(rhsEx.Hidden) != fmt.Sprint(rhsSk.Hidden) ||
-		rhsEx.ExtensionChecks != rhsSk.ExtensionChecks {
-		return fmt.Errorf("B14: sketch-triaged RHS-Discovery diverged from exact-only")
-	}
-	rhsPruned := ftr.Count(obs.CtrSketchPrunes)
 
-	printTable(w, []string{"leg", "exact", "sketch", "tests exact", "escalated", "pruned"}, [][]string{
-		{"baseline unary", exWall.Round(time.Microsecond).String(), skWall.Round(time.Microsecond).String(),
-			fmt.Sprint(ex.CandidatesTested), fmt.Sprint(sk.SketchEscalated), fmt.Sprint(sk.SketchPruned)},
-		{"guided joins", "-", "-", fmt.Sprint(len(gEx.Outcomes)),
-			fmt.Sprint(gtr.Count(obs.CtrSketchEscalations)), fmt.Sprint(gtr.Count(obs.CtrSketchPrunes))},
-		{"RHS-Discovery", rhsExWall.Round(time.Microsecond).String(), rhsSkWall.Round(time.Microsecond).String(),
-			fmt.Sprint(rhsEx.ExtensionChecks), fmt.Sprint(ftr.Count(obs.CtrSketchEscalations)), fmt.Sprint(rhsPruned)},
+	printTable(w, []string{"leg", "wall", "tests", "accepted"}, [][]string{
+		{"baseline unary", exWall.Round(time.Microsecond).String(), fmt.Sprint(ex.CandidatesTested), fmt.Sprint(ex.INDs.Len())},
+		{"RHS-Discovery", rhsExWall.Round(time.Microsecond).String(), fmt.Sprint(rhsEx.ExtensionChecks), fmt.Sprint(len(rhsEx.FDs))},
 	})
-	fmt.Fprintf(w, "  sketch build: %v for the whole extension (rides ingest in production)\n",
-		buildWall.Round(time.Microsecond))
-	fmt.Fprintf(w, "  baseline candidate-space pruning %.1fx (target ≥ 10x), results identical in all legs\n", ratio)
-	record("sketch_build_ms", float64(buildWall.Microseconds())/1000)
 	record("baseline_exact_ms", float64(exWall.Microseconds())/1000)
-	record("baseline_sketch_ms", float64(skWall.Microseconds())/1000)
-	record("prune_ratio", ratio)
 	record("exact_tested", float64(ex.CandidatesTested))
-	record("sketch_pruned", float64(sk.SketchPruned))
-	record("sketch_escalated", float64(sk.SketchEscalated))
 	record("rhs_exact_ms", float64(rhsExWall.Microseconds())/1000)
-	record("rhs_sketch_ms", float64(rhsSkWall.Microseconds())/1000)
-	record("rhs_sketch_pruned", float64(rhsPruned))
 	return nil
 }
 

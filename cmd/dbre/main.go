@@ -9,7 +9,6 @@
 //	dbre -schema legacy.sql [-data dir] [-programs dir]
 //	     [-expert auto|interactive|deny] [-format text|dot]
 //	     [-out-data dir] [-no-closure]
-//	     [-sketch] [-sketch-precision p] [-sketch-k k]
 //	     [-trace out.json] [-debug-addr localhost:6060]
 //
 //	dbre -schema legacy.sql -data dir -snapshot snapdir
@@ -21,14 +20,6 @@
 //
 // With -expert interactive the paper's expert-user dialogue runs on the
 // terminal; auto applies the default trust-the-extension policy.
-//
-// -sketch enables the approximate triage tier: per-column sketches are
-// maintained during ingest and the discovery phases prune candidates the
-// sketches refute with certainty, escalating the rest to the exact
-// kernels — results are bit-identical to a run without it, and the
-// sketch-prunes / sketch-escalations / sketch-build counters in the
-// trace show the triage ratio. -sketch-precision and -sketch-k tune the
-// HyperLogLog precision and signature size (0 = defaults).
 //
 // -snapshot ingests the schema and extension, persists the loaded engine
 // to a checksummed binary snapshot directory (format in
@@ -161,9 +152,6 @@ func run(args []string, out io.Writer) error {
 	noClosure := fs.Bool("no-closure", false, "disable transitive closure of equality chains")
 	inferKeys := fs.Bool("infer-keys", false, "infer data-supported keys for relations without UNIQUE declarations")
 	parallel := fs.Int("parallel", 0, "CSV-ingest and IND-Discovery counting workers (0 = serial; results identical)")
-	sketchOn := fs.Bool("sketch", false, "approximate triage tier: sketch-prune certain non-candidates, escalate the rest (results identical)")
-	sketchPrecision := fs.Int("sketch-precision", 0, "sketch tier: HyperLogLog precision p, 2^p registers per column (0 = default 12)")
-	sketchK := fs.Int("sketch-k", 0, "sketch tier: bottom-k signature size per column (0 = default 256)")
 	slack := fs.Float64("slack", 0.98, "auto expert: near-inclusion forcing threshold")
 	tolerate := fs.Float64("tolerate", 0, "auto expert: max FD violation rate still enforced")
 	snapDir := fs.String("snapshot", "", "persist the ingested database to this snapshot directory and exit (no pipeline)")
@@ -231,10 +219,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "note: replayed %d WAL records (%d rows) left by an interrupted run\n",
 				info.WAL.Records, info.WAL.Rows)
 		}
-		if *sketchOn {
-			// No-op on relations whose sketches the snapshot restored.
-			dbre.EnableSketches(warm, *sketchPrecision, *sketchK)
-		}
 		db = warm
 	} else {
 		loaded, err := dbre.LoadSQLFile(*schema)
@@ -242,10 +226,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		db = loaded
-		if *sketchOn {
-			// Before the CSV load, so the sketches ride the batch appends.
-			dbre.EnableSketches(db, *sketchPrecision, *sketchK)
-		}
 		if *data != "" {
 			violations, err := dbre.LoadCSVDirCtx(ctx, db, *data, *parallel)
 			if err != nil {
@@ -287,7 +267,6 @@ func run(args []string, out io.Writer) error {
 		TransitiveClosure: !*noClosure,
 		InferKeys:         *inferKeys,
 		Parallelism:       *parallel,
-		Sketch:            *sketchOn,
 	}
 	var report *dbre.Report
 	if *programs != "" {

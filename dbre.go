@@ -33,10 +33,7 @@
 //
 // Around the one-shot pipeline the package exposes the rest of the
 // toolkit. LoadCSVDirCtx ingests extensions with parallel batched
-// loading (state identical to serial at any setting). EnableSketches
-// maintains the approximate triage tier's per-column sketches during
-// ingest, and Options.Sketch puts the tier in front of the exact
-// discovery kernels without changing any result. NewServer runs
+// loading (state identical to serial at any setting). NewServer runs
 // discovery as a service: asynchronous jobs over an HTTP/JSON API with
 // the expert dialogue escalated to API questions. Snapshot and
 // OpenSnapshot persist the columnar engine to a checksummed binary
@@ -62,7 +59,6 @@ import (
 	"dbre/internal/relation"
 	"dbre/internal/restruct"
 	"dbre/internal/serve"
-	"dbre/internal/sketch"
 	"dbre/internal/sql/exec"
 	"dbre/internal/storage"
 	"dbre/internal/table"
@@ -196,20 +192,6 @@ func LoadCSVDir(db *Database, dir string) (violations int, err error) {
 // spans and the ingest-* counters.
 func LoadCSVDirCtx(ctx context.Context, db *Database, dir string, parallelism int) (violations int, err error) {
 	return csvio.LoadDirCtx(ctx, db, dir, false, csvio.Options{Parallelism: parallelism})
-}
-
-// EnableSketches turns on the approximate discovery tier's incremental
-// sketch maintenance (per-column distinct-count and signature sketches
-// plus a deterministic row sample) for every relation of the database,
-// with the given knobs — zero values select the defaults. Call it before
-// loading the extension so the sketches ride the batch ingest in one
-// pass; pair with Options.Sketch to put the triage tier in front of the
-// exact discovery kernels. No-op on row-engine tables.
-func EnableSketches(db *Database, precision, signatureK int) {
-	cfg := sketch.Config{Precision: precision, SignatureK: signatureK}
-	for _, name := range db.Catalog().Names() {
-		db.MustTable(name).EnableSketches(cfg)
-	}
 }
 
 // Snapshot persists the database's entire columnar engine state to dir

@@ -216,7 +216,7 @@ func (inc *Incremental) discover(ctx context.Context, dr *DeltaReport) (*Report,
 	if err := checkCancel(ctx, "ind-discovery"); err != nil {
 		return nil, nil, nil, err
 	}
-	iopts := ind.Opts{Stats: cache, Workers: inc.opts.Parallelism, Sketch: inc.opts.Sketch}
+	iopts := ind.Opts{Stats: cache, Workers: inc.opts.Parallelism}
 	ictx, endIND := startPhase(ctx, rep, "ind-discovery")
 	var indRes *ind.Result
 	var err error
@@ -249,7 +249,7 @@ func (inc *Incremental) discover(ctx context.Context, dr *DeltaReport) (*Report,
 	if err := checkCancel(ctx, "rhs-discovery"); err != nil {
 		return nil, nil, nil, err
 	}
-	fopts := fd.Opts{Stats: cache, Workers: inc.opts.Parallelism, Sketch: inc.opts.Sketch}
+	fopts := fd.Opts{Stats: cache, Workers: inc.opts.Parallelism}
 	rctx, endRHS := startPhase(ctx, rep, "rhs-discovery")
 	var rhsRes *fd.Result
 	var sup fd.SupportMap

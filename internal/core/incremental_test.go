@@ -308,6 +308,10 @@ func TestDiscoveryConcurrentWithIngest(t *testing.T) {
 	db := paperex.Database()
 	base := db.MustTable("Assignment").Len()
 	const batch = 20
+	// A table's first pin builds its epoch and must not race a writer
+	// (see Table.PinEpoch); publish every epoch before the writer starts,
+	// as the job server's pool does on install.
+	db.PinEpoch()
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() { // writer: one clean strict batch per salt

@@ -70,15 +70,6 @@ type Options struct {
 	// so tests can audit hit/miss metrics after a run; nil and not
 	// NoStatsCache, the pipeline builds its own.
 	Stats *stats.Cache
-	// Sketch enables the approximate triage tier in front of the exact
-	// counting kernels: IND-Discovery may settle provably-empty join
-	// intersections from column signatures, and RHS-Discovery's checks
-	// gain the superkey fast path plus (for support-insensitive oracles)
-	// certain sample refutation. Accepted results are bit-identical to
-	// the exact-only run; the skipped work is surfaced via the sketch-*
-	// counters. Ignored with NoStatsCache (the sketches live beside the
-	// cache).
-	Sketch bool
 }
 
 // DefaultOptions mirrors the paper's setting with an automatic expert.
@@ -264,7 +255,7 @@ func RunWithQContext(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 		return rep, err
 	}
 	ictx, endIND := startPhase(ctx, rep, "ind-discovery")
-	indRes, err := ind.DiscoverOptsCtx(ictx, db, q, opts.Oracle, ind.Opts{Stats: cache, Workers: opts.Parallelism, Sketch: opts.Sketch && cache != nil})
+	indRes, err := ind.DiscoverOptsCtx(ictx, db, q, opts.Oracle, ind.Opts{Stats: cache, Workers: opts.Parallelism})
 	endIND()
 	if err != nil {
 		return rep, fmt.Errorf("core: IND-Discovery: %w", err)
@@ -294,7 +285,7 @@ func RunWithQContext(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 		return rep, err
 	}
 	rctx, endRHS := startPhase(ctx, rep, "rhs-discovery")
-	rhsRes, err := fd.DiscoverRHSOptsCtx(rctx, db, lhsRes.LHS, lhsRes.Hidden, opts.Oracle, fd.Opts{Stats: cache, Workers: opts.Parallelism, Sketch: opts.Sketch && cache != nil})
+	rhsRes, err := fd.DiscoverRHSOptsCtx(rctx, db, lhsRes.LHS, lhsRes.Hidden, opts.Oracle, fd.Opts{Stats: cache, Workers: opts.Parallelism})
 	endRHS()
 	if err != nil {
 		return rep, fmt.Errorf("core: RHS-Discovery: %w", err)

@@ -16,9 +16,10 @@ type BaselineOptions struct {
 	// SkipKeys removes declared key attributes from left-hand-side
 	// candidates: their dependencies are already known from K.
 	SkipKeys bool
-	// Workers fans DiscoverBaselineAll over a bounded worker pool, one
-	// task per relation; ≤ 1 runs serially. Per-relation results are
-	// aggregated in catalog order, so the output is identical.
+	// Workers fans DiscoverBaselineAll over a bounded worker pool
+	// (stats.ForEach), one task per relation: 0 and 1 run serially, < 0
+	// selects GOMAXPROCS. Per-relation results are aggregated in catalog
+	// order, so the output is identical.
 	Workers int
 }
 
@@ -165,8 +166,8 @@ func combos(n, k int, fn func([]int) error) error {
 
 // DiscoverBaselineAll runs the exhaustive discovery over every relation of
 // the database and aggregates the counters. Relations are independent, so
-// with opts.Workers > 1 they run on the shared worker kernel; aggregation
-// stays in catalog order either way.
+// unless opts.Workers is 0 or 1 they run on the shared worker kernel;
+// aggregation stays in catalog order either way.
 func DiscoverBaselineAll(db *table.Database, opts BaselineOptions) (*BaselineResult, error) {
 	names := db.Catalog().Names()
 	results := make([]*BaselineResult, len(names))

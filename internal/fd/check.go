@@ -153,80 +153,6 @@ func checkStatsKernel(cache *stats.Cache, rel string, lhs []string, rhs string) 
 	return expert.FDSupport{Rows: nonNull, Violations: nonNull - kept}, nil
 }
 
-// CheckStatsSketch is CheckStats behind the approximate triage tier. Two
-// fast paths may settle a check without the joint counting pass, and
-// both are certain, never probabilistic:
-//
-//   - Superkey: if ‖r[X]‖ equals the number of NULL-free-X tuples, every
-//     group is a singleton and the dependency holds with exactly zero
-//     violations — the rhs projection and the O(rows) joint pass are
-//     skipped and the returned support is bit-identical to CheckStats's.
-//     (‖r[X]‖ is exact and O(1) amortized here: the lhs group vector is
-//     built once per candidate and shared across all its rhs checks, so
-//     on the columnar engine the exact count is as cheap as its sketch
-//     estimate — the tier uses it directly.)
-//   - Sample refutation (only when sampleRefute): two rows of the
-//     deterministic bottom-k row sample in the same lhs group with
-//     different rhs codes witness the dependency as refuted. The
-//     returned violation count is a certain lower bound, not the exact
-//     count, so callers may enable this path only when the oracle's
-//     EnforceFD is support-insensitive (expert.IsSupportInsensitive) —
-//     Holds() and every accepted result are then identical.
-//
-// Neither path fires -> pruned is false and the exact kernel runs.
-func CheckStatsSketch(cache *stats.Cache, rel string, lhs []string, rhs string, sampleRefute bool) (support expert.FDSupport, pruned bool, err error) {
-	lg, nLHS, nonNull, err := cache.GroupVector(rel, lhs)
-	if err != nil {
-		return expert.FDSupport{}, false, err
-	}
-	if nLHS == nonNull {
-		return expert.FDSupport{Rows: nonNull, Violations: 0}, true, nil
-	}
-	if sampleRefute {
-		ts, err := cache.Sketches(rel)
-		if err != nil {
-			return expert.FDSupport{}, false, err
-		}
-		if ts != nil {
-			rg, _, _, err := cache.GroupVector(rel, []string{rhs})
-			if err != nil {
-				return expert.FDSupport{}, false, err
-			}
-			// seen maps lhs group -> first rhs code observed in the
-			// sample; -1 rhs codes (NULL) are one regular value, exactly
-			// Check's semantics. A group with two distinct codes has at
-			// least one exact violation, so counting each disagreeing
-			// group once (flagged with the impossible code -2) yields a
-			// certain lower bound on the exact violation count.
-			seen := make(map[int32]int32)
-			viol := 0
-			for _, ri := range ts.SampleRows() {
-				i := int(ri)
-				if i >= len(lg) {
-					continue // sample ahead of the cached projection
-				}
-				g := lg[i]
-				if g < 0 {
-					continue // NULL in the left-hand side: tuple skipped
-				}
-				if prev, ok := seen[g]; ok {
-					if prev != -2 && prev != rg[i] {
-						viol++
-						seen[g] = -2
-					}
-				} else {
-					seen[g] = rg[i]
-				}
-			}
-			if viol > 0 {
-				return expert.FDSupport{Rows: nonNull, Violations: viol}, true, nil
-			}
-		}
-	}
-	support, err = CheckStats(cache, rel, lhs, rhs)
-	return support, false, err
-}
-
 // CheckStatsLegacy is the pre-overhaul grouped kernel: per-group
 // majority counting over the materialized group slices, with a touched
 // list resetting the shared count vector between groups. It remains the

@@ -106,7 +106,7 @@ func CheckDelta(cache *stats.Cache, rel string, lhs []string, rhs string, baseRo
 // consultation order) are bit-identical to a cold DiscoverRHSOptsCtx
 // run on the same state. baseRows maps each relation to its row count
 // at the previous run (absent means the relation is new). Requires
-// o.Stats; o.Sketch/o.Legacy are ignored on the delta path (escalations
+// o.Stats; o.Legacy is ignored on the delta path (escalations
 // use the dense exact kernel, whose supports all variants share).
 func DiscoverRHSDeltaCtx(ctx context.Context, db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle, o Opts, prevSupports SupportMap, baseRows map[string]int) (*Result, SupportMap, DeltaStats, error) {
 	var ds DeltaStats

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"testing"
 
 	"dbre/internal/relation"
@@ -130,7 +131,7 @@ func TestInferMissingKeys(t *testing.T) {
 	db.MustTable("NoKey").MustInsert(table.Row{value.NewInt(2), value.NewInt(5)})
 	db.MustTable("WithKey").MustInsert(table.Row{value.NewInt(1)})
 
-	declared, err := InferMissingKeys(db, DefaultKeyInferenceOptions())
+	declared, err := InferMissingKeysCtx(context.Background(), db, DefaultKeyInferenceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestInferMissingKeysNoSupportedKey(t *testing.T) {
 	db := table.NewDatabase(relation.MustCatalog(s))
 	db.MustTable("Dup").MustInsert(table.Row{value.NewInt(1)})
 	db.MustTable("Dup").MustInsert(table.Row{value.NewInt(1)})
-	declared, err := InferMissingKeys(db, DefaultKeyInferenceOptions())
+	declared, err := InferMissingKeysCtx(context.Background(), db, DefaultKeyInferenceOptions())
 	if err != nil || len(declared) != 0 {
 		t.Errorf("declared = %v, %v", declared, err)
 	}

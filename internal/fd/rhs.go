@@ -19,23 +19,14 @@ type Opts struct {
 	// cache, so the hashed projection index on each candidate left-hand
 	// side is built once and reused by every right-hand-side probe.
 	Stats *stats.Cache
-	// Workers fans the checks over a bounded worker pool; ≤ 1 checks
-	// serially, < 0 selects GOMAXPROCS.
+	// Workers fans the checks over a bounded worker pool
+	// (stats.ForEach): 0 and 1 check serially, < 0 selects GOMAXPROCS.
 	Workers int
 	// Legacy forces the pre-overhaul grouped check kernel
 	// (CheckStatsLegacy) instead of the dense joint-counting one. Only
 	// meaningful with Stats set; results are identical — it exists for
 	// the B12 ablation and differential tests.
 	Legacy bool
-	// Sketch routes the checks through the approximate triage tier
-	// (CheckStatsSketch): the exact ‖r[X]‖ superkey fast path always, and
-	// — only when the oracle's EnforceFD is support-insensitive
-	// (expert.IsSupportInsensitive) — certain refutation from the
-	// deterministic row sample. Accepted FDs, hidden objects, traces and
-	// counters are bit-identical to the exact-only run; the tier only
-	// skips kernel work, surfaced via the sketch-prunes and
-	// sketch-escalations counters. Requires Stats; ignored with Legacy.
-	Sketch bool
 }
 
 // CandidateTrace records how one element of LHS ∪ H was processed by
@@ -76,7 +67,7 @@ type Result struct {
 // order so runs are deterministic.
 //
 // DiscoverRHS is the uncached, serial reference implementation; the
-// differential harness compares DiscoverRHSOpts against it.
+// differential harness compares DiscoverRHSOptsCtx against it.
 func DiscoverRHS(db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle) (*Result, error) {
 	plan, err := planRHS(db, lhs, hidden)
 	if err != nil {
@@ -88,18 +79,12 @@ func DiscoverRHS(db *table.Database, lhs, hidden []relation.Ref, oracle expert.O
 	return decideRHS(db, plan, oracle, lookup)
 }
 
-// DiscoverRHSOpts runs RHS-Discovery with the A → b extension checks
-// precomputed through the statistics cache and/or a worker pool. The
-// checks are pure reads and independent of every expert decision, so
-// hoisting them ahead of the sequential decision loop preserves the
+// DiscoverRHSOptsCtx runs RHS-Discovery with the A → b extension
+// checks precomputed through the statistics cache and/or a worker pool.
+// The checks are pure reads and independent of every expert decision,
+// so hoisting them ahead of the sequential decision loop preserves the
 // algorithm's outcomes, traces, counters and the exact order of expert
-// consultations.
-func DiscoverRHSOpts(db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle, o Opts) (*Result, error) {
-	return DiscoverRHSOptsCtx(context.Background(), db, lhs, hidden, oracle, o)
-}
-
-// DiscoverRHSOptsCtx is DiscoverRHSOpts with observability threaded
-// through the context: when a tracer is installed (obs.NewContext), the
+// consultations. When a tracer is installed (obs.NewContext), the
 // plan/check/decide stages become child spans, and the fd-checks and
 // fd-rhs-pruned counters are published. Untraced contexts cost nothing
 // (nil-span no-ops).
@@ -149,16 +134,9 @@ func DiscoverRHSSupportsCtx(ctx context.Context, db *table.Database, lhs, hidden
 	}
 	results := make([]expert.FDSupport, len(checks))
 	errs := make([]error, len(checks))
-	pruned := make([]bool, len(checks))
-	sketchOn := o.Sketch && o.Stats != nil && !o.Legacy
-	sampleRefute := sketchOn && expert.IsSupportInsensitive(oracle)
 	_, ksp := obs.StartSpan(ctx, "check")
 	stats.ForEach(len(checks), o.Workers, func(i int) {
 		cand := plan.candidates[checks[i].cand]
-		if sketchOn {
-			results[i], pruned[i], errs[i] = CheckStatsSketch(o.Stats, cand.Rel, cand.Attrs.Names(), checks[i].attr, sampleRefute)
-			return
-		}
 		if o.Stats != nil {
 			if o.Legacy {
 				results[i], errs[i] = CheckStatsLegacy(o.Stats, cand.Rel, cand.Attrs.Names(), checks[i].attr)
@@ -171,17 +149,6 @@ func DiscoverRHSSupportsCtx(ctx context.Context, db *table.Database, lhs, hidden
 	})
 	ksp.SetInt("checks", int64(len(checks)))
 	ksp.SetInt("workers", int64(o.Workers))
-	if sketchOn {
-		var prunes int64
-		for _, p := range pruned {
-			if p {
-				prunes++
-			}
-		}
-		ksp.SetInt("sketch-prunes", prunes)
-		tr.Add(obs.CtrSketchPrunes, prunes)
-		tr.Add(obs.CtrSketchEscalations, int64(len(checks))-prunes)
-	}
 	ksp.End()
 	tr.Add(obs.CtrFDChecks, int64(len(checks)))
 	for i, err := range errs {

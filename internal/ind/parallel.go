@@ -7,7 +7,6 @@ import (
 	"dbre/internal/deps"
 	"dbre/internal/expert"
 	"dbre/internal/obs"
-	"dbre/internal/sketch"
 	"dbre/internal/stats"
 	"dbre/internal/table"
 )
@@ -22,53 +21,19 @@ type Opts struct {
 	// pipeline phases. nil scans the extension directly.
 	Stats *stats.Cache
 	// Workers fans the counting phase over a bounded worker pool
-	// (stats.ForEach); ≤ 1 counts serially, 0 is serial too (the
-	// pipeline's "0 = serial" convention), < 0 selects GOMAXPROCS.
+	// (stats.ForEach): 0 and 1 count serially, < 0 selects GOMAXPROCS.
 	Workers int
-	// Sketch puts the approximate triage tier in front of the join
-	// intersection count: for a unary join whose two column signatures
-	// are complete (unsaturated) and disjoint, N_kl = 0 with certainty —
-	// the values behind disjoint complete signatures share no member —
-	// so the exact join count is skipped and the join resolves to the
-	// empty case immediately. Every other join escalates to the exact
-	// counts, because the expert's NEI dialogue consumes the exact
-	// N_k/N_l/N_kl ratios and the outcome log records them: nothing else
-	// is soundly skippable here. Outcomes, accepted INDs and the expert
-	// dialogue are bit-identical to the exact-only run (a pruned join's
-	// outcome carries the same N_kl = 0 the exact count would have
-	// found); only ExtensionQueries shrinks, by one per pruned join. The
-	// split is published as the sketch-prunes / sketch-escalations
-	// counters.
-	Sketch bool
 }
 
-// DiscoverParallel is Discover with the counting phase fanned out over a
-// worker pool. The three extension queries per equi-join are independent
-// pure reads, so they parallelize perfectly; the decision phase —
-// branching, expert consultation, NEI conceptualization (which mutates the
-// database) — runs sequentially afterwards in canonical join order, so the
-// result and the expert dialogue are identical to the serial algorithm.
-// workers ≤ 0 selects GOMAXPROCS.
-func DiscoverParallel(db *table.Database, q *deps.JoinSet, oracle expert.Oracle, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = -1 // GOMAXPROCS, preserving the historical contract
-	}
-	return DiscoverOpts(db, q, oracle, Opts{Workers: workers})
-}
-
-// DiscoverOpts runs IND-Discovery with the given counting configuration.
-// Counting runs first (cached and/or parallel per o), then the decision
-// phase replays the algorithm's branches sequentially in canonical join
-// order; outcomes, elicited INDs and the expert dialogue are identical
-// to the serial reference Discover — the differential harness asserts
-// exactly this.
-func DiscoverOpts(db *table.Database, q *deps.JoinSet, oracle expert.Oracle, o Opts) (*Result, error) {
-	return DiscoverOptsCtx(context.Background(), db, q, oracle, o)
-}
-
-// DiscoverOptsCtx is DiscoverOpts with observability threaded through
-// the context: when a tracer is installed (obs.NewContext), the counting
-// and decision stages become child spans, and the joins-tested /
+// DiscoverOptsCtx runs IND-Discovery with the given counting
+// configuration. Counting runs first (cached and/or parallel per o),
+// then the decision phase — branching, expert consultation, NEI
+// conceptualization (which mutates the database) — replays the
+// algorithm's branches sequentially in canonical join order, so
+// outcomes, elicited INDs and the expert dialogue are identical to the
+// serial reference Discover; the differential harness asserts exactly
+// this. When a tracer is installed (obs.NewContext), the counting and
+// decision stages become child spans, and the joins-tested /
 // INDs-accepted / NEI-escalation / extension-query counters are
 // published. Untraced contexts cost nothing (nil-span no-ops).
 func DiscoverOptsCtx(ctx context.Context, db *table.Database, q *deps.JoinSet, oracle expert.Oracle, o Opts) (*Result, error) {
@@ -80,28 +45,10 @@ func DiscoverOptsCtx(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 	results := make([]joinCounts, len(joins))
 	_, csp := obs.StartSpan(ctx, "count")
 	stats.ForEach(len(joins), o.Workers, func(i int) {
-		if o.Sketch {
-			results[i] = countJoinSketch(db, joins[i], o.Stats)
-			return
-		}
 		results[i] = countJoinOpts(db, joins[i], o.Stats)
 	})
 	csp.SetInt("joins", int64(len(joins)))
 	csp.SetInt("workers", int64(o.Workers))
-	if o.Sketch {
-		var prunes, escalations int64
-		for i := range results {
-			switch {
-			case results[i].sketchPruned:
-				prunes++
-			case results[i].err == nil:
-				escalations++
-			}
-		}
-		csp.SetInt("sketch-prunes", prunes)
-		tr.Add(obs.CtrSketchPrunes, prunes)
-		tr.Add(obs.CtrSketchEscalations, escalations)
-	}
 	csp.End()
 
 	_, dsp := obs.StartSpan(ctx, "decide")
@@ -119,11 +66,7 @@ func DiscoverOptsCtx(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 			res.Outcomes = append(res.Outcomes, Outcome{Join: join, Case: CaseError, Err: c.err})
 			continue
 		}
-		if c.sketchPruned {
-			res.ExtensionQueries += 2 // N_kl was settled by the signatures
-		} else {
-			res.ExtensionQueries += 3
-		}
+		res.ExtensionQueries += 3
 		out := decideJoin(db, join, c.nk, c.nl, c.nkl, oracle, o.Stats, res)
 		res.Outcomes = append(res.Outcomes, out)
 	}
@@ -144,13 +87,10 @@ func DiscoverOptsCtx(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 	return res, nil
 }
 
-// joinCounts carries the three counts of one equi-join. sketchPruned
-// marks a join whose N_kl the triage tier settled as certainly zero
-// without the exact join count.
+// joinCounts carries the three counts of one equi-join.
 type joinCounts struct {
-	nk, nl, nkl  int
-	sketchPruned bool
-	err          error
+	nk, nl, nkl int
+	err         error
 }
 
 // countJoin computes the three counts of one equi-join by direct scans.
@@ -189,71 +129,6 @@ func countJoinOpts(db *table.Database, join deps.EquiJoin, cache *stats.Cache) (
 	}
 	c.nkl, c.err = table.JoinDistinctCount(tk, join.Left.Attrs, tl, join.Right.Attrs)
 	return c
-}
-
-// countJoinSketch is countJoinOpts behind the triage tier: N_k and N_l
-// are exact (and O(1) on the columnar engine), then for unary joins the
-// column signatures may prove N_kl = 0 (sketch.DisjointSets) and skip
-// the exact join count. Any uncertainty — saturated or missing
-// signatures, multi-attribute joins — escalates to the exact count.
-func countJoinSketch(db *table.Database, join deps.EquiJoin, cache *stats.Cache) (c joinCounts) {
-	tk, ok := db.Table(join.Left.Rel)
-	if !ok {
-		c.err = fmt.Errorf("ind: unknown relation %q", join.Left.Rel)
-		return c
-	}
-	tl, ok := db.Table(join.Right.Rel)
-	if !ok {
-		c.err = fmt.Errorf("ind: unknown relation %q", join.Right.Rel)
-		return c
-	}
-	if cache != nil {
-		if c.nk, c.err = cache.DistinctCount(join.Left.Rel, join.Left.Attrs); c.err != nil {
-			return c
-		}
-		if c.nl, c.err = cache.DistinctCount(join.Right.Rel, join.Right.Attrs); c.err != nil {
-			return c
-		}
-	} else {
-		if c.nk, c.err = tk.DistinctCount(join.Left.Attrs); c.err != nil {
-			return c
-		}
-		if c.nl, c.err = tl.DistinctCount(join.Right.Attrs); c.err != nil {
-			return c
-		}
-	}
-	if len(join.Left.Attrs) == 1 && len(join.Right.Attrs) == 1 {
-		if sketch.DisjointSets(joinSig(db, cache, join.Left.Rel, join.Left.Attrs[0]), joinSig(db, cache, join.Right.Rel, join.Right.Attrs[0])) {
-			c.nkl, c.sketchPruned = 0, true
-			return c
-		}
-	}
-	if cache != nil {
-		c.nkl, c.err = cache.JoinDistinctCount(join.Left.Rel, join.Left.Attrs, join.Right.Rel, join.Right.Attrs)
-		return c
-	}
-	c.nkl, c.err = table.JoinDistinctCount(tk, join.Left.Attrs, tl, join.Right.Attrs)
-	return c
-}
-
-// joinSig resolves a column's bottom-k signature for the triage tier,
-// nil when unavailable (row engine, unknown attribute) — unavailable
-// signatures never prune.
-func joinSig(db *table.Database, cache *stats.Cache, rel, attr string) *sketch.BottomK {
-	var ts *table.TableSketches
-	if cache != nil {
-		ts, _ = cache.Sketches(rel)
-	} else if tab, ok := db.Table(rel); ok {
-		ts = tab.EnableSketches(sketch.Config{})
-	}
-	if ts == nil {
-		return nil
-	}
-	col := ts.Column(attr)
-	if col == nil {
-		return nil
-	}
-	return col.Sig
 }
 
 // decideJoin applies the algorithm's branches given precomputed counts; it

@@ -1,6 +1,7 @@
 package ind
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -97,7 +98,7 @@ func TestQuickParallelEqualsSerial(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p, err := DiscoverParallel(buildPair(rs.A, rs.B), q1(), expert.Deny{}, 3)
+		p, err := DiscoverOptsCtx(context.Background(), buildPair(rs.A, rs.B), q1(), expert.Deny{}, Opts{Workers: 3})
 		if err != nil {
 			return false
 		}
@@ -185,7 +186,7 @@ func (m randMultiDB) build() (*table.Database, *deps.JoinSet) {
 }
 
 // TestQuickParallelCachedEqualsSerialOracleOrder: for p ∈ {2, 4, 8}, with
-// and without the statistics cache, DiscoverParallel/DiscoverOpts must
+// and without the statistics cache, DiscoverOptsCtx must
 // reproduce the serial reference run exactly — same outcomes, same INDs,
 // same conceptualized relations, same query counter, and the expert
 // consulted on the same subjects in the same order with the same answers
@@ -205,9 +206,9 @@ func TestQuickParallelCachedEqualsSerialOracleOrder(t *testing.T) {
 				oracle := expert.NewRecording(expert.NewAuto())
 				var got *Result
 				if cached {
-					got, err = DiscoverOpts(db, q, oracle, Opts{Stats: stats.NewCache(db), Workers: p})
+					got, err = DiscoverOptsCtx(context.Background(), db, q, oracle, Opts{Stats: stats.NewCache(db), Workers: p})
 				} else {
-					got, err = DiscoverParallel(db, q, oracle, p)
+					got, err = DiscoverOptsCtx(context.Background(), db, q, oracle, Opts{Workers: p})
 				}
 				if err != nil {
 					return false

@@ -91,17 +91,6 @@ const (
 	CtrJobsRunning
 	CtrJobsDone
 	CtrQuestionsAsked
-	// The sketch-* counters observe the approximate triage tier
-	// (internal/sketch). CtrSketchPrunes counts candidates the sketch
-	// tier rejected with certainty, skipping the exact kernel;
-	// CtrSketchEscalations counts candidates it had to escalate to the
-	// exact kernels; CtrSketchBuild counts column-sketch build and
-	// incremental catch-up passes (one per column advanced plus one per
-	// row-sample advance). prunes/(prunes+escalations) is the per-run
-	// triage ratio.
-	CtrSketchPrunes
-	CtrSketchEscalations
-	CtrSketchBuild
 	// The snapshot-/wal-* counters observe the persistence layer
 	// (internal/storage). CtrSnapshotSections counts file sections
 	// written by Snapshot; CtrWALRecordsReplayed / CtrWALRowsReplayed
@@ -163,9 +152,6 @@ var counterNames = [numCounters]string{
 	"serve-jobs-running",
 	"serve-jobs-done",
 	"serve-questions-asked",
-	"sketch-prunes",
-	"sketch-escalations",
-	"sketch-build",
 	"snapshot-sections",
 	"wal-records-replayed",
 	"wal-rows-replayed",

@@ -8,8 +8,8 @@ import (
 
 // ForEach runs fn(i) for every i in [0, n) over a bounded pool of
 // workers — the shared counting kernel behind parallel IND-Discovery,
-// RHS-Discovery and the exhaustive baselines. workers ≤ 0 selects
-// GOMAXPROCS; workers == 1 (or n < 2) degenerates to a plain loop, so
+// RHS-Discovery and the exhaustive baselines. workers < 0 selects
+// GOMAXPROCS; workers 0 and 1 (or n < 2) degenerate to a plain loop, so
 // serial callers pay nothing. fn must be safe to call concurrently and
 // must confine its writes to index i (the usual "fill results[i]"
 // pattern); completion of ForEach happens-after every fn call.
@@ -21,7 +21,7 @@ import (
 // time, while short ones (a few heavy checks) fall back toward 1 so no
 // worker starves holding a big block.
 func ForEach(n, workers int, fn func(i int)) {
-	if workers <= 0 {
+	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {

@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 
 	"dbre/internal/obs"
-	"dbre/internal/sketch"
 	"dbre/internal/table"
 	"dbre/internal/value"
 )
@@ -299,27 +298,6 @@ func (c *Cache) table(rel string) (*table.Table, bool) {
 func (c *Cache) TableFor(rel string) *table.Table {
 	t, _ := c.table(rel)
 	return t
-}
-
-// Sketches returns the relation's incremental sketch set, caught up to
-// the current extension, enabling it with default knobs on first use.
-// Returns (nil, nil) on the row engine — sketch consumers treat that as
-// "escalate everything", keeping results trivially exact there. Catch-up
-// work is published as the sketch-build counter on the cache's tracer.
-// Safe for concurrent callers (the counting fan-outs hit it per worker).
-func (c *Cache) Sketches(rel string) (*table.TableSketches, error) {
-	tab, ok := c.table(rel)
-	if !ok {
-		return nil, fmt.Errorf("stats: unknown relation %q", rel)
-	}
-	s := tab.EnableSketches(sketch.Config{})
-	if s == nil {
-		return nil, nil
-	}
-	if n := s.CatchUp(); n > 0 {
-		c.tr.Add(obs.CtrSketchBuild, int64(n))
-	}
-	return s, nil
 }
 
 // key builds the map key. The attribute list is order-sensitive on

@@ -1,8 +1,11 @@
 package stats_test
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dbre/internal/relation"
 	"dbre/internal/stats"
@@ -432,5 +435,32 @@ func TestForEach(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestForEachSerialWorkers pins the documented worker semantics: 0 and
+// 1 are serial (fn never runs concurrently), and only a negative count
+// fans out over GOMAXPROCS. A served job's explicit "parallelism": 0
+// must not escape the server's parallelism cap.
+func TestForEachSerialWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	peak := func(workers int) int64 {
+		var cur, max atomic.Int64
+		stats.ForEach(8, workers, func(int) {
+			c := cur.Add(1)
+			for m := max.Load(); c > m && !max.CompareAndSwap(m, c); m = max.Load() {
+			}
+			time.Sleep(2 * time.Millisecond)
+			cur.Add(-1)
+		})
+		return max.Load()
+	}
+	for _, workers := range []int{0, 1} {
+		if p := peak(workers); p != 1 {
+			t.Errorf("workers=%d: peak concurrency %d, want 1 (serial)", workers, p)
+		}
+	}
+	if p := peak(-1); p < 2 {
+		t.Errorf("workers=-1: peak concurrency %d, want GOMAXPROCS fan-out", p)
 	}
 }

@@ -1,10 +1,10 @@
 // Package storage persists the columnar engine: a versioned binary
 // snapshot of a whole database (per-relation sections holding code
-// vectors, value dictionaries, uniqueness state and sketch configuration,
-// each CRC32C-checksummed and indexed by a footer so individual columns
-// are section-loadable without reading the whole file) plus a batch-append
-// write-ahead log, so a crashed or restarted discovery job replays deltas
-// instead of re-ingesting.
+// vectors, value dictionaries and uniqueness state, each CRC32C-checksummed
+// and indexed by a footer so individual columns are section-loadable
+// without reading the whole file) plus a batch-append write-ahead log, so
+// a crashed or restarted discovery job replays deltas instead of
+// re-ingesting.
 //
 // The byte-level contract — every magic number, varint, checksum and the
 // NULL convention — is specified normatively in docs/storage-format.md;
@@ -45,7 +45,7 @@ const (
 // Section types of the snapshot file.
 const (
 	secCatalog   byte = 1 // relation schemas, attribute types, UNIQUE sets
-	secTableMeta byte = 2 // per relation: row count, version, counters, sketch config
+	secTableMeta byte = 2 // per relation: row count, version, counters
 	secCodes     byte = 3 // per column: the []int32 code vector
 	secDict      byte = 4 // per column: the value dictionary
 	secUniq      byte = 5 // per relation: uniqueness-index state

@@ -1,12 +1,12 @@
 // Snapshot reader. Open verifies the whole file up front — header,
 // trailer, footer, and the CRC32C of every section payload in one
 // streaming pass — then restores the database *lazily*: catalog, row
-// counts, per-column counters, uniqueness state and sketch configuration
-// are decoded eagerly (they are small), while each column's code vector
-// and dictionary stay on disk behind a ColumnLoader until the first read
-// that touches them. Discovery phases therefore fault in only the column
-// sections they actually scan, and the stats cache above never notices
-// the difference. Because every checksum was verified before Open
+// counts, per-column counters and uniqueness state are decoded eagerly
+// (they are small), while each column's code vector and dictionary stay
+// on disk behind a ColumnLoader until the first read that touches them.
+// Discovery phases therefore fault in only the column sections they
+// actually scan, and the stats cache above never notices the
+// difference. Because every checksum was verified before Open
 // returned, a later section-load failure can only mean the file was
 // mutated or removed underneath the open database.
 package storage
@@ -23,7 +23,6 @@ import (
 
 	"dbre/internal/obs"
 	"dbre/internal/relation"
-	"dbre/internal/sketch"
 	"dbre/internal/table"
 	"dbre/internal/value"
 )
@@ -439,11 +438,12 @@ func decodeTableMeta(path string, e sectionEntry, payload []byte, nattrs int) (*
 		d.fail("unknown flags %02x", flags)
 	}
 	if flags&1 != 0 {
-		st.Sketch = table.SketchState{Enabled: true, Config: sketch.Config{
-			Precision:  int(d.uvarint()),
-			SignatureK: int(d.uvarint()),
-			SampleK:    int(d.uvarint()),
-		}}
+		// Legacy: older writers recorded three sketch-configuration
+		// uvarints behind bit 0. Nothing reads them any more; skip them
+		// so those snapshots keep opening.
+		d.uvarint()
+		d.uvarint()
+		d.uvarint()
 	}
 	ncols := d.count("column")
 	if d.err == nil && ncols != nattrs {

@@ -21,18 +21,19 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"dbre/internal/csvio"
 	"dbre/internal/relation"
-	"dbre/internal/sketch"
+	"dbre/internal/sql/exec"
 	"dbre/internal/table"
 	"dbre/internal/value"
 )
 
 // buildTestDB assembles a database exercising every persisted feature:
 // all value kinds, NULLs, single- and multi-attribute UNIQUE constraints,
-// tolerated violations (phantom registrations), and sketches on one
-// relation.
+// and tolerated violations (phantom registrations).
 func buildTestDB(t *testing.T) *table.Database {
 	t.Helper()
 	people := relation.MustSchema("people",
@@ -79,7 +80,6 @@ func buildTestDB(t *testing.T) *table.Database {
 	}
 
 	ot := db.MustTable("orders")
-	ot.EnableSketches(sketch.Config{})
 	for i := 0; i < 50; i++ {
 		ot.MustInsert(table.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 7)), value.NewFloat(float64(i) * 1.5)})
 	}
@@ -284,15 +284,16 @@ func TestLazyColumnLoading(t *testing.T) {
 	requireSameState(t, db, got)
 }
 
-func TestSketchRestore(t *testing.T) {
-	db := buildTestDB(t)
+// TestLegacyFlagSnapshotOpens opens a checked-in snapshot whose emp
+// relation was written with tablemeta flag bit 0 set (the retired
+// sketch-configuration record). It must restore the same engine state
+// as loading the fixture's DDL and CSV afresh, and re-snapshotting it
+// must produce exactly the bytes the current writer emits for that
+// fresh load (flags 00 throughout).
+func TestLegacyFlagSnapshotOpens(t *testing.T) {
+	const fixture = "testdata/legacy-sketch"
 	dir := t.TempDir()
-	live := db.MustTable("orders").Sketches()
-	if live == nil {
-		t.Fatal("sketches not enabled on orders")
-	}
-	wantCol := live.Column("person")
-	if err := Snapshot(db, dir); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), readFile(t, filepath.Join(fixture, SnapshotFile)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, info, err := Open(dir)
@@ -300,22 +301,76 @@ func TestSketchRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer info.Close()
-	rs := got.MustTable("orders").Sketches()
-	if rs == nil {
-		t.Fatal("sketch enablement not restored")
+
+	fresh, errs := exec.LoadScript(string(readFile(t, filepath.Join(fixture, "schema.sql"))))
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
 	}
-	if rs.Config() != live.Config() {
-		t.Errorf("sketch config: want %+v, got %+v", live.Config(), rs.Config())
+	if _, err := csvio.LoadDir(fresh, filepath.Join(fixture, "data"), false); err != nil {
+		t.Fatal(err)
 	}
-	gotCol := rs.Column("person")
-	if wantCol.Distinct != gotCol.Distinct {
-		t.Errorf("rebuilt sketch consumed %d distinct values, want %d", gotCol.Distinct, wantCol.Distinct)
+	requireSameState(t, fresh, got)
+
+	gotDir, freshDir := t.TempDir(), t.TempDir()
+	if err := Snapshot(got, gotDir); err != nil {
+		t.Fatal(err)
 	}
-	if w, g := wantCol.HLL.Estimate(), gotCol.HLL.Estimate(); w != g {
-		t.Errorf("rebuilt HLL estimate %v, want %v", g, w)
+	if err := Snapshot(fresh, freshDir); err != nil {
+		t.Fatal(err)
 	}
-	if w, g := live.SampleRows(), rs.SampleRows(); !reflect.DeepEqual(w, g) {
-		t.Errorf("rebuilt row sample %v, want %v", g, w)
+	if !bytes.Equal(readFile(t, filepath.Join(gotDir, SnapshotFile)), readFile(t, filepath.Join(freshDir, SnapshotFile))) {
+		t.Error("re-snapshot of the legacy snapshot differs from a snapshot of the fresh load")
+	}
+}
+
+// TestTableMetaFlags pins the tablemeta flag byte: bit 0 (legacy) is
+// accepted with its three configuration uvarints read and discarded,
+// and any other bit is rejected as corruption.
+func TestTableMetaFlags(t *testing.T) {
+	st, err := buildTestDB(t).MustTable("orders").PersistState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e enc
+	encodeTableMeta(&e, st)
+	payload := e.b
+	// The flag byte follows the row-count and version uvarints.
+	d := dec{b: payload}
+	d.uvarint()
+	d.uvarint()
+	at := len(payload) - len(d.b)
+	if payload[at] != 0 {
+		t.Fatalf("writer emitted flags %02x, want 00", payload[at])
+	}
+	entry := sectionEntry{typ: secTableMeta}
+	nattrs := len(st.Columns)
+	want, err := decodeTableMeta("mem", entry, payload, nattrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	legacy := append(bytes.Clone(payload[:at]), 0x01, 12, 0x80, 0x02, 0x80, 0x04)
+	legacy = append(legacy, payload[at+1:]...)
+	got, err := decodeTableMeta("mem", entry, legacy, nattrs)
+	if err != nil {
+		t.Fatalf("legacy flag bit 0 rejected: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("legacy flag bit 0 changed the decoded state\nwant %+v\ngot  %+v", want, got)
+	}
+
+	for _, flags := range []byte{0x02, 0x03, 0x04, 0x10, 0x80, 0xff} {
+		bad := bytes.Clone(payload)
+		bad[at] = flags
+		_, err := decodeTableMeta("mem", entry, bad, nattrs)
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Errorf("flags %02x: want *CorruptError, got %v", flags, err)
+			continue
+		}
+		if !strings.Contains(ce.Reason, "unknown flags") {
+			t.Errorf("flags %02x: error %q does not name the unknown flags", flags, err)
+		}
 	}
 }
 

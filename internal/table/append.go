@@ -221,13 +221,6 @@ func (a *Appender) AppendBatch(b *ChunkEncoder, strict bool) (violations int, er
 	t.nrows += b.n
 	t.version += uint64(b.n)
 	violations, err = a.checkAppended(base, strict)
-	// Sketch maintenance rides the batch: one catch-up pass over the new
-	// dictionary entries and rows. Runs after the constraint post-pass so
-	// a strict-mode rollback is observed as a shrink (rebuild), keeping
-	// the sketches a pure function of the surviving extension.
-	if s := t.sketches.Load(); s != nil {
-		s.CatchUp()
-	}
 	// The batch lands on a consistent commit state whether it committed
 	// fully or rolled back: account its ApproxBytes delta and publish it
 	// as the new read epoch.

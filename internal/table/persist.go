@@ -1,10 +1,9 @@
 // Persistence bridge. The storage layer (internal/storage) serializes a
 // columnar table's engine state — code vectors, dictionaries, running
-// counters, uniqueness registrations, sketch configuration — and rebuilds
-// an identical table from it. This file exposes exactly that state, in
-// both directions, so the on-disk format stays a storage concern while
-// the engine invariants (what is state, what is rebuildable scratch) stay
-// a table concern.
+// counters, uniqueness registrations — and rebuilds an identical table
+// from it. This file exposes exactly that state, in both directions, so
+// the on-disk format stays a storage concern while the engine invariants
+// (what is state, what is rebuildable scratch) stay a table concern.
 //
 // What is persisted and what is derived:
 //
@@ -16,9 +15,6 @@
 //     byKey phantoms of rejected rows reference values that were never
 //     stored, so no replay over the surviving rows can reconstruct them —
 //     and later inserts must still collide with them (see uniq.go).
-//   - sketches: only the enabled flag and Config are persisted. Sketch
-//     state is a pure function of the dictionary prefix consumed, so a
-//     restored table rebuilds identical sketches on first access.
 //
 // Restored tables may be lazy: RestoreTableLazy defers every column's
 // codes/dict behind a ColumnLoader, and every read path of the engine
@@ -32,7 +28,6 @@ import (
 	"sync/atomic"
 
 	"dbre/internal/relation"
-	"dbre/internal/sketch"
 	"dbre/internal/value"
 )
 
@@ -64,15 +59,6 @@ type UniqState struct {
 	ByKey  map[string]int
 }
 
-// SketchState records whether the approximate tier was enabled and with
-// which knobs. Sketch contents are not persisted: they are rebuilt
-// deterministically from the restored dictionaries (sketch state is a
-// pure function of the value set).
-type SketchState struct {
-	Enabled bool
-	Config  sketch.Config
-}
-
 // TableState is the complete serializable engine state of one columnar
 // table. PersistState returns it; RestoreTable consumes it.
 type TableState struct {
@@ -80,7 +66,6 @@ type TableState struct {
 	Version uint64
 	Columns []ColumnState
 	Uniqs   []UniqState
-	Sketch  SketchState
 }
 
 // PersistState snapshots the table's engine state for serialization. The
@@ -129,9 +114,6 @@ func (t *Table) PersistState() (*TableState, error) {
 		}
 		st.Uniqs = append(st.Uniqs, us)
 	}
-	if s := t.sketches.Load(); s != nil {
-		st.Sketch = SketchState{Enabled: true, Config: s.cfg}
-	}
 	return st, nil
 }
 
@@ -166,7 +148,7 @@ func RestoreTable(schema *relation.Schema, st *TableState) (*Table, error) {
 
 // RestoreTableLazy is RestoreTable with every column's codes/dict
 // deferred behind loader: metadata (row count, version, counters,
-// uniqueness state, sketch config) is installed now, and each column
+// uniqueness state) is installed now, and each column
 // section is fetched on the first read that touches it. A load failure
 // after restore panics (the storage layer verifies every section checksum
 // before handing out a loader, so a failure here means the file was
@@ -224,9 +206,6 @@ func restoreTable(schema *relation.Schema, st *TableState, loader ColumnLoader) 
 		u.dense = us.Dense
 		u.packed = us.Packed
 		u.byKey = us.ByKey
-	}
-	if st.Sketch.Enabled {
-		t.EnableSketches(st.Sketch.Config)
 	}
 	return t, nil
 }

@@ -71,10 +71,6 @@ type Table struct {
 	// invalidation hook. ReplaceRelation installs a fresh *Table, so a
 	// changed pointer equally signals staleness.
 	version uint64
-	// sketches holds the lazily enabled incremental sketch set (see
-	// sketch.go); atomic because concurrent readers may race to enable
-	// it. nil until EnableSketches, and always nil on the row engine.
-	sketches atomic.Pointer[TableSketches]
 	// lazy is non-nil on a table restored from a snapshot with deferred
 	// column sections; internStale marks that the interning maps must be
 	// rebuilt from the dictionaries before the first mutation. See

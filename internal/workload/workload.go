@@ -59,10 +59,8 @@ type Spec struct {
 	// from one range shared by every fact, salted with rare per-attribute
 	// sentinel values at rate NearMissNoise: the columns are near-equal
 	// sets differing only in a handful of values, so cross-fact
-	// containment candidates are adversarial near-miss INDs — exact
-	// counting must reject them, and sketch signatures usually cannot
-	// (the sentinel witness is rarely retained), forcing escalations at
-	// scale. The shared range is disjoint from every key, foreign-key and
+	// containment candidates are adversarial near-miss INDs that exact
+	// counting must reject on a handful of witnesses. The shared range is disjoint from every key, foreign-key and
 	// far-miss range, so no true INDs are added against existing columns.
 	NearMissAttrs int
 	// NearMissNoise is the per-row probability that a near-miss attribute
@@ -72,9 +70,8 @@ type Spec struct {
 	// FarMissAttrs adds per-fact int attributes ("f<i>_fm<j>") drawn from
 	// per-attribute disjoint ranges: every candidate pairing one of them
 	// (in either direction, or against keys and near-miss columns) is a
-	// far-below-threshold non-IND that complete-signature refutation
-	// prunes with certainty — the pruning mass of the sketch-tier
-	// benchmarks, quadratic in the attribute count.
+	// far-below-threshold non-IND — a candidate mass quadratic in the
+	// attribute count for the exhaustive baseline to reject.
 	FarMissAttrs int
 }
 
@@ -347,7 +344,7 @@ func Generate(spec Spec) (*Workload, error) {
 					row = append(row, src[len(l.FKs):]...)
 				}
 			}
-			// Adversarial sketch-tier columns; value-range layout (all
+			// Adversarial near/far-miss columns; value-range layout (all
 			// disjoint from the small key/fk/attr integers):
 			//   far-miss  g: [1e6 + g*1e4, 1e6 + g*1e4 + span)  per-attr
 			//   near-miss:   [4e6, 4e6 + span)                  shared

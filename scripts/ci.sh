@@ -2,10 +2,10 @@
 # CI entry point: formatting and vet gates, a documentation link check,
 # build, race-enabled tests (which include the differential equivalence
 # harness and the obs/stats/table allocation regressions), the storage
-# persistence/fault-injection suite, and a short fuzz smoke of the seven
-# fuzz targets (parsers, loaders, sketches, snapshots, delta partition
-# refinement). Run from the
-# repository root; the GitHub Actions workflow (.github/workflows/ci.yml)
+# persistence/fault-injection suite, vet and tests of the separate
+# e2ebench module, the perf gate, and a short fuzz smoke of six fuzz
+# targets (SQL loader, program scanner, CSV loader, job requests,
+# snapshots, delta partition refinement). Run from the repository root; the GitHub Actions workflow (.github/workflows/ci.yml)
 # invokes exactly this script so local runs reproduce CI bit for bit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -50,6 +50,9 @@ go test -race -count=1 ./internal/storage/...
 echo "==> allocation regressions (explicit, without -race instrumentation)"
 go test -run 'TestAlloc' ./internal/stats ./internal/obs ./internal/table
 
+echo "==> e2ebench module: go vet + go test (a separate module, outside the root ./...)"
+(cd e2ebench && go vet ./... && go test -count=1 ./...)
+
 echo "==> perf gate: B9/B12/B13/B14/B15/B16/B17 vs checked-in baselines"
 ./scripts/perfgate.sh
 
@@ -64,9 +67,6 @@ go test -run=^$ -fuzz='^FuzzCSVLoad$' -fuzztime="${FUZZTIME}" ./internal/csvio
 
 echo "==> fuzz smoke: FuzzJobRequest (${FUZZTIME})"
 go test -run=^$ -fuzz='^FuzzJobRequest$' -fuzztime="${FUZZTIME}" ./internal/serve
-
-echo "==> fuzz smoke: FuzzSketchEstimate (${FUZZTIME})"
-go test -run=^$ -fuzz='^FuzzSketchEstimate$' -fuzztime="${FUZZTIME}" ./internal/sketch
 
 echo "==> fuzz smoke: FuzzSnapshotRoundTrip (${FUZZTIME})"
 go test -run=^$ -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime="${FUZZTIME}" ./internal/storage

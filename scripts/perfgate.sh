@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Performance gate: re-run the gated experiments (B9 statistics cache,
-# B12 kernel overhaul, B13 parallel batched ingest, B14 sketch triage
-# tier, B15 snapshot persistence, B16 incremental re-validation, B17
-# resident dataset pool) and compare their -json metrics against the checked-in
-# BENCH_<id>.json baselines via cmd/perfgate — wall-time metrics within
+# B12 kernel overhaul, B13 parallel batched ingest, B14 exact discovery
+# on near-miss columns, B15 snapshot persistence, B16 incremental
+# re-validation, B17 resident dataset pool) and compare their -json
+# metrics against the checked-in BENCH_<id>.json baselines via
+# cmd/perfgate — wall-time metrics within
 # a generous multiplicative tolerance (CI machines differ; regressions
 # we care about are step changes, not jitter), allocation metrics as
 # hard ceilings. Regenerate a baseline after an intentional perf change
