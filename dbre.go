@@ -194,12 +194,12 @@ func LoadCSVDirCtx(ctx context.Context, db *Database, dir string, parallelism in
 	return csvio.LoadDirCtx(ctx, db, dir, false, csvio.Options{Parallelism: parallelism})
 }
 
-// Snapshot persists the database's entire columnar engine state to dir
-// as a checksummed binary snapshot (format: docs/storage-format.md) and
+// Snapshot persists the database's entire engine state to dir as a
+// checksummed binary snapshot (format: docs/storage-format.md) and
 // resets the directory's write-ahead log, so a later OpenSnapshot boots
 // warm — bit-identical to the live engine — instead of re-ingesting.
 // The write is atomic: a crash mid-snapshot leaves the previous snapshot
-// (or none) intact. Row-engine databases cannot be snapshotted.
+// (or none) intact.
 func Snapshot(db *Database, dir string) error {
 	return storage.Snapshot(db, dir)
 }

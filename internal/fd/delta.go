@@ -158,8 +158,7 @@ func DiscoverRHSDeltaCtx(ctx context.Context, db *table.Database, lhs, hidden []
 			results[i], kinds[i] = prev, 4
 			return
 		}
-		if have && known && prev.Violations == 0 && base <= tab.Len() &&
-			tab.Engine() == table.EngineColumnar {
+		if have && known && prev.Violations == 0 && base <= tab.Len() {
 			sup, dirty, err := CheckDelta(o.Stats, cand.Rel, cand.Attrs.Names(), checks[i].attr, base)
 			if err != nil {
 				errs[i] = err

@@ -234,9 +234,8 @@ func execInsert(db *table.Database, s *ast.Insert) error {
 }
 
 // binding is one FROM-clause table instance with its current row. buf is
-// the reused decode buffer for the columnar engine; row aliases either it
-// or the row engine's internal storage and is only valid until the next
-// iteration of the binding's loop.
+// the reused decode buffer; row aliases it and is only valid until the
+// next iteration of the binding's loop.
 type binding struct {
 	name string // alias or table name
 	tab  *table.Table

@@ -57,9 +57,9 @@ func randomSpec(rng *rand.Rand, seed int64) workload.Spec {
 // TestDifferentialCachedParallelVsReference is the headline harness of the
 // statistics layer: across many random schemas, extensions and join sets it
 // runs the full pipeline twice — once with the uncached, serial reference
-// implementations on the row-store engine, once with the statistics cache
-// and a worker pool on the columnar engine — and
-// asserts the rendered reports are identical. The pipeline includes
+// implementations (direct scans over decoded values), once with the
+// statistics cache and a worker pool (projections over the code vectors)
+// — and asserts the rendered reports are identical. The pipeline includes
 // Restruct's splits and migrations, so every run also exercises the cache's
 // invalidation against mid-pipeline mutations; the post-run audit then
 // proves the surviving cache agrees with direct scans of the restructured
@@ -76,12 +76,8 @@ func TestDifferentialCachedParallelVsReference(t *testing.T) {
 		inferKeys := rng.Intn(3) == 0
 		t.Run(fmt.Sprintf("spec%03d", i), func(t *testing.T) {
 			// Two identical databases from the same deterministic spec:
-			// the pipeline mutates its input in place. The reference
-			// copy lives on the row-store engine, so this harness also
-			// differentially proves the columnar engine end to end.
-			refSpec := spec
-			refSpec.RowEngine = true
-			ref, err := workload.Generate(refSpec)
+			// the pipeline mutates its input in place.
+			ref, err := workload.Generate(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +146,7 @@ func TestDifferentialCachedParallelVsReference(t *testing.T) {
 // twice per spec — once with the overhauled kernels (dense remapping,
 // prefix-partition reuse) and once forced onto the pre-overhaul path
 // (map-only remapping via a zero dense budget, prefix reuse disabled) —
-// and requires byte-identical reports. Together with the row-engine
+// and requires byte-identical reports. Together with the reference
 // harness above (whose reference leg runs uncached, so FD checks go
 // through the direct row scan rather than any grouped kernel) this
 // certifies every kernel configuration at the report level.
@@ -212,8 +208,8 @@ func TestDifferentialPreOverhaulKernels(t *testing.T) {
 // TestDifferentialBaselines runs the exhaustive IND and FD baselines in
 // reference and cached/parallel modes over random extensions and compares
 // their complete results. The reference always runs uncached and serial on
-// a row-store copy of the extension, so the comparison spans both storage
-// engines as well as both execution strategies.
+// a separate copy of the extension, so the comparison spans both counting
+// algorithms as well as both execution strategies.
 func TestDifferentialBaselines(t *testing.T) {
 	runs := 40
 	if testing.Short() {
@@ -222,9 +218,7 @@ func TestDifferentialBaselines(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xba5e))
 	for i := 0; i < runs; i++ {
 		spec := randomSpec(rng, int64(5000+i))
-		refSpec := spec
-		refSpec.RowEngine = true
-		wRef, err := workload.Generate(refSpec)
+		wRef, err := workload.Generate(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -513,7 +513,7 @@ func (c *Cache) build(e *entry, tab *table.Table, rel string, attrs []string) {
 			}
 			e.prev = nil
 		}
-		if len(attrs) > 1 && !c.prefixOff.Load() && tab.Engine() == table.EngineColumnar {
+		if len(attrs) > 1 && !c.prefixOff.Load() {
 			pe, hit := c.getEntry(tab, rel, attrs[:len(attrs)-1], false)
 			c.build(pe, tab, rel, attrs[:len(attrs)-1])
 			if pe.err == nil {

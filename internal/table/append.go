@@ -9,8 +9,9 @@
 // by dictionary code (see uniq.go), and reproduces Table.Insert's
 // sequential semantics exactly: identical violation counts and phantom
 // registrations in non-strict loads, identical first-error state in
-// strict ones. The differential harness in internal/csvio pins this
-// equivalence down to the bytes of the engine state.
+// strict ones. The batch differentials in append_test.go and
+// internal/csvio pin this equivalence down to the bytes of the engine
+// state.
 package table
 
 import (
@@ -159,10 +160,6 @@ func (a *Appender) Stats() AppendStats { return a.stats }
 // first violating row the batch is rolled back to just before it (rows
 // preceding it in the batch stay, as if inserted one by one) and a
 // *BatchError carrying the Insert-equivalent error is returned.
-//
-// On the row engine the batch degrades to per-row Insert — the row
-// engine is the reference implementation and keeps its original code
-// path bit for bit.
 func (a *Appender) AppendBatch(b *ChunkEncoder, strict bool) (violations int, err error) {
 	t := a.t
 	if b.schema != t.schema {
@@ -170,9 +167,6 @@ func (a *Appender) AppendBatch(b *ChunkEncoder, strict bool) (violations int, er
 	}
 	a.stats.Batches++
 	a.stats.Rows += int64(b.n)
-	if t.columns == nil {
-		return a.appendRows(b, strict)
-	}
 	if b.n == 0 {
 		return 0, nil
 	}
@@ -246,25 +240,6 @@ func (a *Appender) noteAppendBytes(base int) {
 		}
 	}
 	t.abytes += d
-}
-
-// appendRows is the row-engine fallback: the reference per-row path.
-func (a *Appender) appendRows(b *ChunkEncoder, strict bool) (int, error) {
-	t := a.t
-	buf := make(Row, len(b.cols))
-	violations := 0
-	for i := 0; i < b.n; i++ {
-		row := b.row(i, buf)
-		if err := t.Insert(row); err != nil {
-			if strict {
-				return violations, &BatchError{Row: i, Err: err}
-			}
-			violations++
-			a.stats.Violations++
-			t.InsertUnchecked(row)
-		}
-	}
-	return violations, nil
 }
 
 // checkAppended is the columnar constraint post-pass over the merged

@@ -5,31 +5,45 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"dbre/internal/relation"
 	"dbre/internal/value"
 )
 
-// This file differentially tests the two storage engines: every primitive
-// the pipelines consume is run against a row-backed and a columnar table
-// fed the identical insert sequence, and the results must agree exactly —
-// including the bit-level RowGroup vectors, whose first-occurrence-dense
-// numbering both engines are documented to share.
+// This file differentially tests the storage engine against the row
+// model (model_test.go): a table and a model are fed the identical
+// random insert sequence, must accept and reject the same rows with the
+// same error text, and must then agree on every primitive the pipelines
+// consume — including the bit-level RowGroup vectors, whose
+// first-occurrence-dense numbering the model derives from value-keyed
+// maps and the engine from dictionary codes and partition refinement.
 
-// randValue draws from a pool designed to stress the key encodings: NaN
-// (map equality differs from Key equality), strings containing the 0x1f
-// separator, strings that spell kind tags ("s…", "i…"), empty strings,
-// NULLs, and plain ints/floats/bools/dates with small domains so groups
-// actually collide.
-func randValue(rng *rand.Rand, kind value.Kind) value.Value {
-	if rng.Intn(5) == 0 {
+// valueGen parameterizes randValue: a NULL once in nullOneIn draws (0:
+// never), numeric domains of dom values and string domains of strDom.
+type valueGen struct{ nullOneIn, dom, strDom int }
+
+var defaultGen = valueGen{nullOneIn: 5, dom: 7, strDom: 15}
+
+// keyPool stresses the key encodings: strings containing the 0x1f
+// separator, strings that spell kind tags ("s…", "i…"), the empty
+// string (which coerces to NULL in non-string columns).
+var keyPool = []string{
+	"", "a", "b", "ab", "\x1f", "a\x1f", "\x1fa", "a\x1fb",
+	"s", "s1", "i7", "f0", "n", "t", "d19960201",
+}
+
+// randValue draws a value of the given kind. Floats include NaN (map
+// equality differs from Key equality) and zero; small domains make
+// groups and UNIQUE keys actually collide.
+func randValue(rng *rand.Rand, kind value.Kind, g valueGen) value.Value {
+	if g.nullOneIn > 0 && rng.Intn(g.nullOneIn) == 0 {
 		return value.Null
 	}
 	switch kind {
 	case value.KindInt:
-		return value.NewInt(int64(rng.Intn(7) - 3))
+		return value.NewInt(int64(rng.Intn(g.dom) - g.dom/2))
 	case value.KindFloat:
 		switch rng.Intn(5) {
 		case 0:
@@ -37,53 +51,73 @@ func randValue(rng *rand.Rand, kind value.Kind) value.Value {
 		case 1:
 			return value.NewFloat(0)
 		default:
-			return value.NewFloat(float64(rng.Intn(4)))
+			return value.NewFloat(float64(rng.Intn(g.dom)) / 2)
 		}
 	case value.KindBool:
 		return value.NewBool(rng.Intn(2) == 0)
 	case value.KindDate:
-		return value.NewDate(1996, 2, 1+rng.Intn(4))
-	default:
-		pool := []string{
-			"", "a", "b", "ab", "\x1f", "a\x1f", "\x1fa", "a\x1fb",
-			"s", "s1", "i7", "f0", "n", "t", "d19960201",
-		}
-		return value.NewString(pool[rng.Intn(len(pool))])
+		return value.NewDate(1996, 2, 1+rng.Intn(min(g.dom, 28)))
+	}
+	if i := rng.Intn(g.strDom); i < len(keyPool) {
+		return value.NewString(keyPool[i])
+	} else {
+		return value.NewString(fmt.Sprintf("v%d", i))
 	}
 }
 
-// buildPair grows a row-engine and a columnar table through the same
-// randomized sequence of Insert and InsertUnchecked calls (including
-// inserts that fail constraint checks on both engines alike).
-func buildPair(t *testing.T, rng *rand.Rand, s *relation.Schema, nrows int) (*Table, *Table) {
+var allKinds = []value.Kind{value.KindInt, value.KindString, value.KindFloat, value.KindBool, value.KindDate}
+
+// buildWithModel grows a table and a model through the same random
+// sequence: checked inserts (some carrying a value of another kind, so
+// coercion and coercion failures take part), a tolerant-loader fallback
+// to InsertUnchecked for half of the rejected rows, and direct unchecked
+// inserts of mixed-kind rows. Every checked insert must get the same
+// verdict and error text from both.
+func buildWithModel(t *testing.T, rng *rand.Rand, s *relation.Schema, nrows int, g valueGen) (*Table, *model) {
 	t.Helper()
-	row := NewWithEngine(s, EngineRow)
-	col := NewWithEngine(s, EngineColumnar)
-	kinds := make([]value.Kind, len(s.Attrs))
-	for i, a := range s.Attrs {
-		kinds[i] = a.Type
-	}
+	tab, m := New(s), newModel(s)
 	for n := 0; n < nrows; n++ {
-		r := make(Row, len(kinds))
-		for i, k := range kinds {
-			r[i] = randValue(rng, k)
+		r := make(Row, len(s.Attrs))
+		for i, a := range s.Attrs {
+			r[i] = randValue(rng, a.Type, g)
 		}
 		if rng.Intn(8) == 0 {
 			// Unchecked inserts bypass coercion, so columns can hold
-			// mixed kinds — the int fast paths must bail identically.
-			r[rng.Intn(len(r))] = randValue(rng, value.KindString)
-			row.InsertUnchecked(r)
-			col.InsertUnchecked(r)
+			// mixed kinds — the int fast paths must bail.
+			r[rng.Intn(len(r))] = randValue(rng, value.KindString, g)
+			tab.InsertUnchecked(r)
+			m.InsertUnchecked(r)
 			continue
 		}
-		errRow := row.Insert(r)
-		errCol := col.Insert(r)
-		if (errRow == nil) != (errCol == nil) {
-			t.Fatalf("insert %d: engines disagree on error: row=%v columnar=%v", n, errRow, errCol)
+		if rng.Intn(6) == 0 {
+			r[rng.Intn(len(r))] = randValue(rng, allKinds[rng.Intn(len(allKinds))], g)
+		}
+		errTab, errModel := tab.Insert(r), m.Insert(r)
+		if fmt.Sprint(errTab) != fmt.Sprint(errModel) {
+			t.Fatalf("insert %d %v: engine error %v, model error %v", n, r, errTab, errModel)
+		}
+		if errTab != nil && rng.Intn(2) == 0 {
+			tab.InsertUnchecked(r)
+			m.InsertUnchecked(r)
 		}
 	}
-	return row, col
+	return tab, m
 }
+
+// diffSchema is the single-table differential schema: every value kind,
+// a single-attribute UNIQUE(i) and a composite UNIQUE(s,d).
+func diffSchema() *relation.Schema {
+	return relation.MustSchema("R", []relation.Attribute{
+		{Name: "i", Type: value.KindInt},
+		{Name: "s", Type: value.KindString},
+		{Name: "f", Type: value.KindFloat},
+		{Name: "b", Type: value.KindBool},
+		{Name: "d", Type: value.KindDate},
+	}, relation.NewAttrSet("i"), relation.NewAttrSet("s", "d"))
+}
+
+// diffRows is the row count TestEngineDifferential uses for a seed.
+func diffRows(seed int64) int { return 40 + rand.New(rand.NewSource(seed)).Intn(120) }
 
 // attrSubsets enumerates a few deterministic attribute lists to probe.
 func attrSubsets(s *relation.Schema) [][]string {
@@ -104,207 +138,226 @@ func attrSubsets(s *relation.Schema) [][]string {
 	return subsets
 }
 
-func compareProjections(t *testing.T, label string, pr, pc *Projection) {
+func sameValues(a, b []value.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Key() != b[i].Key() {
+			return false
+		}
+	}
+	return true
+}
+
+func compareProjection(t *testing.T, label string, got *Projection, want modelProjection) {
 	t.Helper()
-	if !reflect.DeepEqual(pr.RowGroup, pc.RowGroup) {
-		t.Errorf("%s: RowGroup vectors differ\nrow:      %v\ncolumnar: %v", label, pr.RowGroup, pc.RowGroup)
+	if !slices.Equal(got.RowGroup, want.rowGroup) {
+		t.Errorf("%s: RowGroup differs\nengine: %v\nmodel:  %v", label, got.RowGroup, want.rowGroup)
 	}
-	if pr.Len() != pc.Len() || pr.NonNull != pc.NonNull {
-		t.Errorf("%s: Len/NonNull differ: row (%d,%d) columnar (%d,%d)",
-			label, pr.Len(), pr.NonNull, pc.Len(), pc.NonNull)
+	if got.Len() != want.groups || got.NonNull != want.nonNull {
+		t.Errorf("%s: Len/NonNull: engine (%d,%d), model (%d,%d)", label, got.Len(), got.NonNull, want.groups, want.nonNull)
 	}
-	ri, ci := pr.IntDict(), pc.IntDict()
-	rs, cs := pr.StrDict(), pc.StrDict()
-	if (ri == nil) != (ci == nil) || (rs == nil) != (cs == nil) {
-		t.Fatalf("%s: dictionary flavors differ: row(int=%v,str=%v) columnar(int=%v,str=%v)",
-			label, ri != nil, rs != nil, ci != nil, cs != nil)
+	gi, gs := got.IntDict(), got.StrDict()
+	if (gi == nil) != (want.ints == nil) || (gs == nil) != (want.strs == nil) {
+		t.Fatalf("%s: dictionary flavour: engine (int=%v,str=%v), model (int=%v,str=%v)",
+			label, gi != nil, gs != nil, want.ints != nil, want.strs != nil)
 	}
-	if ri != nil && !reflect.DeepEqual(ri, ci) {
-		t.Errorf("%s: IntDict differs\nrow:      %v\ncolumnar: %v", label, ri, ci)
+	if gi != nil && !reflect.DeepEqual(gi, want.ints) {
+		t.Errorf("%s: IntDict\nengine: %v\nmodel:  %v", label, gi, want.ints)
 	}
-	if rs != nil && !reflect.DeepEqual(rs, cs) {
-		t.Errorf("%s: StrDict differs\nrow:      %q\ncolumnar: %q", label, rs, cs)
+	if gs != nil && !reflect.DeepEqual(gs, want.strs) {
+		t.Errorf("%s: StrDict\nengine: %q\nmodel:  %q", label, gs, want.strs)
 	}
 }
 
-func compareTables(t *testing.T, row, col *Table) {
+// compareWithModel checks every single-table primitive against the model.
+func compareWithModel(t *testing.T, tab *Table, m *model) {
 	t.Helper()
-	if row.Len() != col.Len() {
-		t.Fatalf("Len: row %d, columnar %d", row.Len(), col.Len())
+	if tab.Len() != len(m.rows) {
+		t.Fatalf("Len: engine %d, model %d", tab.Len(), len(m.rows))
 	}
-	s := row.Schema()
-	for i := 0; i < row.Len(); i++ {
-		rr, rc := row.Row(i), col.Row(i)
-		if len(rr) != len(rc) {
-			t.Fatalf("Row(%d): arity differs", i)
+	for i, want := range m.rows {
+		if got := tab.Row(i); !sameValues(got, want) {
+			t.Fatalf("Row(%d): engine %v, model %v", i, got, want)
 		}
-		for j := range rr {
-			if rr[j].Key() != rc[j].Key() {
-				t.Fatalf("Value(%d,%d): row %v, columnar %v", i, j, rr[j], rc[j])
-			}
-			if col.Value(i, j).Key() != rr[j].Key() {
-				t.Fatalf("columnar Value(%d,%d) = %v, Row gave %v", i, j, col.Value(i, j), rr[j])
+		for j, v := range want {
+			if got := tab.Value(i, j); got.Key() != v.Key() {
+				t.Fatalf("Value(%d,%d): engine %v, model %v", i, j, got, v)
 			}
 		}
 	}
+	s := tab.Schema()
 	for _, attrs := range attrSubsets(s) {
-		label := fmt.Sprintf("%v", attrs)
-		nr, er := row.DistinctCount(attrs)
-		nc, ec := col.DistinctCount(attrs)
-		if (er == nil) != (ec == nil) || nr != nc {
-			t.Errorf("DistinctCount%s: row (%d,%v) columnar (%d,%v)", label, nr, er, nc, ec)
+		label := fmt.Sprint(attrs)
+		if n, err := tab.DistinctCount(attrs); err != nil || n != m.DistinctCount(attrs) {
+			t.Errorf("DistinctCount%s: engine (%d,%v), model %d", label, n, err, m.DistinctCount(attrs))
 		}
-		cr, _ := row.CountNonNull(attrs)
-		cc, _ := col.CountNonNull(attrs)
-		if cr != cc {
-			t.Errorf("CountNonNull%s: row %d, columnar %d", label, cr, cc)
+		if n, err := tab.CountNonNull(attrs); err != nil || n != m.CountNonNull(attrs) {
+			t.Errorf("CountNonNull%s: engine (%d,%v), model %d", label, n, err, m.CountNonNull(attrs))
 		}
-		sr, _ := row.DistinctSet(attrs)
-		sc, _ := col.DistinctSet(attrs)
-		if !reflect.DeepEqual(sr, sc) {
-			t.Errorf("DistinctSet%s: row %q, columnar %q", label, sr, sc)
+		if set, err := tab.DistinctSet(attrs); err != nil || !reflect.DeepEqual(set, m.DistinctSet(attrs)) {
+			t.Errorf("DistinctSet%s: engine (%q,%v), model %q", label, set, err, m.DistinctSet(attrs))
 		}
-		gr, _ := row.GroupRows(attrs)
-		gc, _ := col.GroupRows(attrs)
-		if !reflect.DeepEqual(gr, gc) {
-			t.Errorf("GroupRows%s differ", label)
+		if groups, err := tab.GroupRows(attrs); err != nil || !reflect.DeepEqual(groups, m.GroupRows(attrs)) {
+			t.Errorf("GroupRows%s: engine (%v,%v), model %v", label, groups, err, m.GroupRows(attrs))
 		}
-		pr, er := row.Projection(attrs)
-		pc, ec := col.Projection(attrs)
-		if (er == nil) != (ec == nil) {
-			t.Fatalf("Projection%s: row err %v, columnar err %v", label, er, ec)
+		want := m.Projection(attrs)
+		p, err := tab.Projection(attrs)
+		if err != nil {
+			t.Fatalf("Projection%s: %v", label, err)
 		}
-		if er == nil {
-			compareProjections(t, "Projection"+label, pr, pc)
+		compareProjection(t, "Projection"+label, p, want)
+		if len(attrs) > 1 {
+			prefix, err := tab.Projection(attrs[:1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			pf, err := tab.ProjectionFrom(prefix, 1, attrs)
+			if err != nil {
+				t.Fatalf("ProjectionFrom%s: %v", label, err)
+			}
+			compareProjection(t, "ProjectionFrom"+label, pf, want)
 		}
-		dr, _ := row.DistinctRows(attrs)
-		dc, _ := col.DistinctRows(attrs)
-		if len(dr) != len(dc) {
-			t.Errorf("DistinctRows%s: row %d rows, columnar %d", label, len(dr), len(dc))
+		rows, err := tab.DistinctRows(attrs)
+		wantRows := m.DistinctRows(attrs)
+		if err != nil || len(rows) != len(wantRows) {
+			t.Errorf("DistinctRows%s: engine %d rows (%v), model %d", label, len(rows), err, len(wantRows))
 		} else {
-			for i := range dr {
-				for j := range dr[i] {
-					if dr[i][j].Key() != dc[i][j].Key() {
-						t.Errorf("DistinctRows%s[%d][%d]: row %v, columnar %v", label, i, j, dr[i][j], dc[i][j])
-					}
+			for i := range rows {
+				if !sameValues(rows[i], wantRows[i]) {
+					t.Errorf("DistinctRows%s[%d]: engine %v, model %v", label, i, rows[i], wantRows[i])
 				}
 			}
 		}
-		prj, _ := row.Project(attrs)
-		pcj, _ := col.Project(attrs)
-		if len(prj) != len(pcj) {
-			t.Errorf("Project%s: lengths differ", label)
-		}
-	}
-	// Whole-row primitives.
-	srows, crows := row.SortedRows(), col.SortedRows()
-	if len(srows) != len(crows) {
-		t.Fatalf("SortedRows: row %d, columnar %d", len(srows), len(crows))
-	}
-	for i := range srows {
-		for j := range srows[i] {
-			if srows[i][j].Key() != crows[i][j].Key() {
-				t.Fatalf("SortedRows[%d][%d]: row %v, columnar %v", i, j, srows[i][j], crows[i][j])
+		proj, err := tab.Project(attrs)
+		wantProj := m.Project(attrs)
+		if err != nil || len(proj) != len(wantProj) {
+			t.Errorf("Project%s: engine %d rows (%v), model %d", label, len(proj), err, len(wantProj))
+		} else {
+			for i := range proj {
+				if !sameValues(proj[i], wantProj[i]) {
+					t.Errorf("Project%s[%d]: engine %v, model %v", label, i, proj[i], wantProj[i])
+				}
 			}
 		}
 	}
-	pred := func(r Row) bool { return !r[0].IsNull() }
-	if !reflect.DeepEqual(row.Filter(pred), col.Filter(pred)) {
-		t.Errorf("Filter: engines disagree")
+	sorted, wantSorted := tab.SortedRows(), m.SortedRows()
+	if len(sorted) != len(wantSorted) {
+		t.Fatalf("SortedRows: engine %d rows, model %d", len(sorted), len(wantSorted))
 	}
-	for _, a := range s.Attrs {
-		u := relation.NewAttrSet(a.Name)
-		okR, aR, bR, _ := row.CheckUnique(u)
-		okC, aC, bC, _ := col.CheckUnique(u)
-		if okR != okC || aR != aC || bR != bC {
-			t.Errorf("CheckUnique(%s): row (%v,%d,%d) columnar (%v,%d,%d)", a.Name, okR, aR, bR, okC, aC, bC)
+	for i := range sorted {
+		if !sameValues(sorted[i], wantSorted[i]) {
+			t.Fatalf("SortedRows[%d]: engine %v, model %v", i, sorted[i], wantSorted[i])
 		}
+	}
+	for c := range s.Attrs {
+		pred := func(r Row) bool { return !r[c].IsNull() }
+		if got, want := tab.Filter(pred), m.Filter(pred); !reflect.DeepEqual(got, want) {
+			t.Errorf("Filter(%s non-NULL): engine %v, model %v", s.Attrs[c].Name, got, want)
+		}
+	}
+	checks := append([]relation.AttrSet{}, s.Uniques...)
+	for _, a := range s.Attrs {
+		checks = append(checks, relation.NewAttrSet(a.Name))
+	}
+	for _, u := range checks {
+		ok, a, b, err := tab.CheckUnique(u)
+		wok, wa, wb := m.CheckUnique(u)
+		if err != nil || ok != wok || a != wa || b != wb {
+			t.Errorf("CheckUnique(%v): engine (%v,%d,%d,%v), model (%v,%d,%d)", u, ok, a, b, err, wok, wa, wb)
+		}
+	}
+}
+
+// compareJoins checks the two-table primitives — the IND-Discovery
+// kernels — against the model over every equal-arity attribute pairing.
+func compareJoins(t *testing.T, tk *Table, mk *model, tl *Table, ml *model) {
+	t.Helper()
+	attrs := [][]string{{"i"}, {"s"}, {"i", "s"}}
+	for _, ak := range attrs {
+		for _, al := range attrs {
+			if len(ak) != len(al) {
+				continue
+			}
+			label := fmt.Sprintf("%v~%v", ak, al)
+			n, err := JoinDistinctCount(tk, ak, tl, al)
+			if want := modelJoinDistinctCount(mk, ak, ml, al); err != nil || n != want {
+				t.Errorf("JoinDistinctCount%s: engine (%d,%v), model %d", label, n, err, want)
+			}
+			in, err := ContainedIn(tk, ak, tl, al)
+			if want := modelContainedIn(mk, ak, ml, al); err != nil || in != want {
+				t.Errorf("ContainedIn%s: engine (%v,%v), model %v", label, in, err, want)
+			}
+			pairs, err := EquiJoinRows(tk, ak, tl, al)
+			if want := modelEquiJoinRows(mk, ak, ml, al); err != nil || !reflect.DeepEqual(pairs, want) {
+				t.Errorf("EquiJoinRows%s: engine (%v,%v), model %v", label, pairs, err, want)
+			}
+		}
+	}
+}
+
+// joinSchema is the two-table differential schema. No UNIQUE: the join
+// sides should hold duplicate keys.
+func joinSchema() *relation.Schema {
+	return relation.MustSchema("R", []relation.Attribute{
+		{Name: "i", Type: value.KindInt},
+		{Name: "s", Type: value.KindString},
+	})
+}
+
+// modelDifferential is one full differential run: a table over
+// diffSchema under both refinement budgets — the default (dense at these
+// sizes) and 0, which forces the map path — and a join pair.
+func modelDifferential(t *testing.T, seed int64, nrows int, g valueGen, budgets []int64) {
+	for _, budget := range budgets {
+		func() {
+			defer SetRefineDenseBudget(SetRefineDenseBudget(budget))
+			rng := rand.New(rand.NewSource(seed))
+			tab, m := buildWithModel(t, rng, diffSchema(), nrows, g)
+			compareWithModel(t, tab, m)
+		}()
 	}
 }
 
 func TestEngineDifferential(t *testing.T) {
-	schema := func() *relation.Schema {
-		return relation.MustSchema("R", []relation.Attribute{
-			{Name: "i", Type: value.KindInt},
-			{Name: "s", Type: value.KindString},
-			{Name: "f", Type: value.KindFloat},
-			{Name: "b", Type: value.KindBool},
-			{Name: "d", Type: value.KindDate},
-		})
-	}
-	// The sweep covers both remapping strategies of the refinement
-	// kernel: the default budget (dense at these table sizes) and budget
-	// 0, which forces the pre-overhaul map path — the row engine is the
-	// reference for both.
 	for _, budget := range []int64{-1, 0} {
-		budget := budget
 		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
-			prev := SetRefineDenseBudget(budget)
-			defer SetRefineDenseBudget(prev)
 			for seed := int64(0); seed < 20; seed++ {
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(seed))
-					row, col := buildPair(t, rng, schema(), 40+rng.Intn(120))
-					compareTables(t, row, col)
+					modelDifferential(t, seed, diffRows(seed), defaultGen, []int64{budget})
 				})
 			}
 		})
 	}
 }
 
-// TestEngineDifferentialJoins exercises the two-table primitives — the
-// IND-Discovery kernels — across engine combinations, including mixed
-// (row ⊆ columnar and vice versa), which the loaders can produce when a
-// restructured relation is rebuilt under a different database engine.
 func TestEngineDifferentialJoins(t *testing.T) {
-	s := relation.MustSchema("R", []relation.Attribute{
-		{Name: "i", Type: value.KindInt},
-		{Name: "s", Type: value.KindString},
-	})
 	for seed := int64(0); seed < 10; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1000 + seed))
-			rowK, colK := buildPair(t, rng, s, 60)
-			rowL, colL := buildPair(t, rng, s, 60)
-			attrs := [][]string{{"i"}, {"s"}, {"i", "s"}}
-			for _, ak := range attrs {
-				for _, al := range attrs {
-					if len(ak) != len(al) {
-						continue
-					}
-					label := fmt.Sprintf("%v~%v", ak, al)
-					nRef, _ := JoinDistinctCount(rowK, ak, rowL, al)
-					for _, pair := range [][2]*Table{{colK, colL}, {rowK, colL}, {colK, rowL}} {
-						n, err := JoinDistinctCount(pair[0], ak, pair[1], al)
-						if err != nil || n != nRef {
-							t.Errorf("JoinDistinctCount%s: got (%d,%v), row-row %d", label, n, err, nRef)
-						}
-					}
-					inRef, _ := ContainedIn(rowK, ak, rowL, al)
-					inCol, err := ContainedIn(colK, ak, colL, al)
-					if err != nil || inCol != inRef {
-						t.Errorf("ContainedIn%s: columnar (%v,%v), row %v", label, inCol, err, inRef)
-					}
-					ejRef, _ := EquiJoinRows(rowK, ak, rowL, al)
-					ejCol, err := EquiJoinRows(colK, ak, colL, al)
-					if err != nil {
-						t.Fatalf("EquiJoinRows%s: %v", label, err)
-					}
-					sortPairs := func(p [][2]int) {
-						sort.Slice(p, func(i, j int) bool {
-							if p[i][0] != p[j][0] {
-								return p[i][0] < p[j][0]
-							}
-							return p[i][1] < p[j][1]
-						})
-					}
-					sortPairs(ejRef)
-					sortPairs(ejCol)
-					if !reflect.DeepEqual(ejRef, ejCol) {
-						t.Errorf("EquiJoinRows%s: row %v, columnar %v", label, ejRef, ejCol)
-					}
-				}
-			}
+			tk, mk := buildWithModel(t, rng, joinSchema(), 60, defaultGen)
+			tl, ml := buildWithModel(t, rng, joinSchema(), 60, defaultGen)
+			compareJoins(t, tk, mk, tl, ml)
 		})
 	}
+}
+
+// FuzzTableModel is the model differential with the fuzzer choosing the
+// seed, the row count, the NULL density and the value domains; each
+// input runs the single-table comparison under both refinement budgets
+// and a join pair. Exercised by the ci.sh fuzz smoke; the corpus starts
+// from TestEngineDifferential's seeds.
+func FuzzTableModel(f *testing.F) {
+	for seed := int64(0); seed < 20; seed++ {
+		f.Add(seed, uint8(diffRows(seed)), uint8(defaultGen.nullOneIn), uint8(defaultGen.dom), uint8(defaultGen.strDom))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, rows, nullOneIn, dom, strDom uint8) {
+		g := valueGen{nullOneIn: int(nullOneIn), dom: max(int(dom), 1), strDom: max(int(strDom), 1)}
+		modelDifferential(t, seed, int(rows), g, []int64{-1, 0})
+		rng := rand.New(rand.NewSource(seed))
+		tk, mk := buildWithModel(t, rng, joinSchema(), int(rows)/2, g)
+		tl, ml := buildWithModel(t, rng, joinSchema(), int(rows)/2, g)
+		compareJoins(t, tk, mk, tl, ml)
+	})
 }

@@ -1,4 +1,4 @@
-// Epoch-versioned reads: MVCC-lite snapshots of the columnar engine.
+// Epoch-versioned reads: MVCC-lite snapshots of a table.
 //
 // An epoch is a frozen, immutable view of one table at a batch commit
 // point: a lightweight Table clone whose code vectors and dictionaries
@@ -16,17 +16,13 @@
 // rebuilds from a quiescent table. Pinning is a single atomic load —
 // discovery can run over a pinned epoch while ingest keeps appending to
 // the live table, with results consistent with the pinned commit point.
-//
-// The row engine has no epochs: it keeps the original
-// reads-and-mutations-are-not-concurrent contract, and PinEpoch returns
-// the table itself.
 package table
 
 // publishEpoch installs a fresh frozen snapshot of the current commit
 // point. Called by the mutation paths only (never concurrently with
 // itself); readers race only against the atomic store.
 func (t *Table) publishEpoch() {
-	if t.columns == nil || t.frozen {
+	if t.frozen {
 		return
 	}
 	t.ensureAll()
@@ -69,10 +65,9 @@ func (t *Table) freeze() *Table {
 // built table, or one mutated through the per-row insert paths since),
 // the first pin builds one — that first pin requires the caller to be
 // quiescent with respect to writers, exactly like any other read today.
-// On the row engine and on already-frozen tables it returns the table
-// itself.
+// On an already-frozen table it returns the table itself.
 func (t *Table) PinEpoch() *Table {
-	if t.columns == nil || t.frozen {
+	if t.frozen {
 		return t
 	}
 	if e := t.epoch.Load(); e != nil {
@@ -101,11 +96,7 @@ func (t *Table) EpochOrigin() *Table {
 // invalidateEpoch drops the published snapshot; the per-row mutation
 // paths call it because they commit after every single row, which is
 // far too fine-grained to republish.
-func (t *Table) invalidateEpoch() {
-	if t.columns != nil {
-		t.epoch.Store(nil)
-	}
-}
+func (t *Table) invalidateEpoch() { t.epoch.Store(nil) }
 
 // PinEpoch snapshots the whole database: a cloned catalog (so schema
 // additions and replacements against the pinned view — NEI
@@ -120,7 +111,6 @@ func (db *Database) PinEpoch() *Database {
 	out := &Database{
 		catalog: cat,
 		tables:  make(map[string]*Table, len(db.tables)),
-		engine:  db.engine,
 	}
 	for name, t := range db.tables {
 		out.tables[name] = t.PinEpoch()

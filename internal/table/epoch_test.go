@@ -42,7 +42,7 @@ func TestPinEpochImmutableUnderAppend(t *testing.T) {
 	epochBatch(t, tab, 0, 100)
 	pinned := tab.PinEpoch()
 	if !pinned.Frozen() || pinned == tab {
-		t.Fatal("PinEpoch on the columnar engine must return a frozen clone")
+		t.Fatal("PinEpoch must return a frozen clone")
 	}
 	if pinned.PinEpoch() != pinned {
 		t.Error("pinning a frozen epoch must return itself")
@@ -116,16 +116,6 @@ func TestPinEpochPerRowInvalidation(t *testing.T) {
 	}
 	if got := tab.PinEpoch().Len(); got != 11 {
 		t.Fatalf("pin after per-row insert sees %d rows, want 11", got)
-	}
-}
-
-// TestPinEpochRowEngine: no snapshots on the row engine — the pin is the
-// table itself under the quiescent-reads contract.
-func TestPinEpochRowEngine(t *testing.T) {
-	tab := NewWithEngine(epochSchema(t), EngineRow)
-	epochBatch(t, tab, 0, 5)
-	if tab.PinEpoch() != tab {
-		t.Error("row engine PinEpoch must return the table itself")
 	}
 }
 

@@ -1,5 +1,5 @@
 // Persistence bridge. The storage layer (internal/storage) serializes a
-// columnar table's engine state — code vectors, dictionaries, running
+// table's engine state — code vectors, dictionaries, running
 // counters, uniqueness registrations — and rebuilds an identical table
 // from it. This file exposes exactly that state, in both directions, so
 // the on-disk format stays a storage concern while the engine invariants
@@ -59,8 +59,8 @@ type UniqState struct {
 	ByKey  map[string]int
 }
 
-// TableState is the complete serializable engine state of one columnar
-// table. PersistState returns it; RestoreTable consumes it.
+// TableState is the complete serializable engine state of one table.
+// PersistState returns it; RestoreTable consumes it.
 type TableState struct {
 	NRows   int
 	Version uint64
@@ -70,12 +70,8 @@ type TableState struct {
 
 // PersistState snapshots the table's engine state for serialization. The
 // returned slices and maps are views into live storage — read-only, valid
-// until the next mutation. It errors on the row engine: persistence is a
-// columnar-engine feature.
+// until the next mutation.
 func (t *Table) PersistState() (*TableState, error) {
-	if t.columns == nil {
-		return nil, fmt.Errorf("table %s: persistence requires the columnar engine", t.schema.Name)
-	}
 	t.ensureAll()
 	st := &TableState{
 		NRows:   t.nrows,
@@ -167,7 +163,7 @@ func restoreTable(schema *relation.Schema, st *TableState, loader ColumnLoader) 
 	if len(st.Uniqs) != len(schema.Uniques) {
 		return nil, fmt.Errorf("table %s: state has %d unique indexes, schema %d", schema.Name, len(st.Uniqs), len(schema.Uniques))
 	}
-	t := NewWithEngine(schema, EngineColumnar)
+	t := New(schema)
 	t.nrows = st.NRows
 	t.version = st.Version
 	t.internStale = true
@@ -333,7 +329,7 @@ func (t *Table) ensureMutable() {
 	if t.frozen {
 		panic(fmt.Sprintf("table %s: mutating a frozen epoch snapshot", t.schema.Name))
 	}
-	if t.columns == nil || !t.internStale {
+	if !t.internStale {
 		return
 	}
 	t.ensureAll()
@@ -391,7 +387,7 @@ func (e *ChunkEncoder) DecodeRow(i int, buf Row) Row {
 }
 
 // RestoreDatabase rebuilds a database over catalog with one restored
-// table per relation, on the columnar engine. restore is called once per
+// table per relation. restore is called once per
 // relation in catalog order and must return the relation's table built
 // over the catalog's own schema pointer (RestoreTable/RestoreTableLazy
 // with catalog.Get's schema do exactly that).
@@ -399,7 +395,6 @@ func RestoreDatabase(catalog *relation.Catalog, restore func(s *relation.Schema)
 	db := &Database{
 		catalog: catalog,
 		tables:  make(map[string]*Table, catalog.Len()),
-		engine:  EngineColumnar,
 	}
 	for _, s := range catalog.Schemas() {
 		t, err := restore(s)

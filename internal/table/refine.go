@@ -1,9 +1,9 @@
 // Partition-refinement kernel: the inner loop of every multi-attribute
-// projection on the columnar engine. One refinement step intersects the
-// current row → group-id vector with one column's code vector, assigning
-// fresh dense ids in first-occurrence row order — exactly the numbering
-// the row engine's composite-key hashing produces, so refined partitions
-// stay bit-identical across engines and across kernel paths.
+// projection. One refinement step intersects the current row → group-id
+// vector with one column's code vector, assigning fresh dense ids in
+// first-occurrence row order — exactly the numbering a value-keyed scan
+// over the composite keys produces (the row model in model_test.go), so
+// refined partitions stay bit-identical across kernel paths.
 //
 // Two remapping strategies implement the step:
 //
@@ -17,7 +17,7 @@
 //
 // Both strategies assign ids in first-occurrence order, so which one runs
 // is unobservable in the results — the property/fuzz tests in
-// refine_test.go and the engine differential harness pin this.
+// refine_test.go and the model differential harness pin this.
 //
 // Scratch pooling: a Refiner owns every reusable buffer of the kernel
 // (the dense table, the remap map, two alternating intermediate group

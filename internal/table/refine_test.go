@@ -14,7 +14,7 @@ import (
 // dense direct-addressed, sparse map, and refinement resumed from a
 // prefix partition — must produce bit-identical group vectors. The
 // from-scratch map path is the reference (it is the pre-overhaul
-// kernel, itself certified against the row engine by the differential
+// kernel, itself certified against the row model by the differential
 // harness in engine_differential_test.go).
 
 // withBudget runs f under a temporary dense-remapping budget.
@@ -40,7 +40,7 @@ func fillRandom(t *testing.T, tab *Table, rng *rand.Rand, nrows int) {
 	for n := 0; n < nrows; n++ {
 		r := make(Row, len(kinds))
 		for i, k := range kinds {
-			r[i] = randValue(rng, k)
+			r[i] = randValue(rng, k, defaultGen)
 		}
 		tab.InsertUnchecked(r)
 	}

@@ -3,12 +3,13 @@
 // counting, projection and equi-join primitives the elicitation algorithms
 // query ("select count distinct ..." in the paper's notation).
 //
-// Two backing stores implement the same Table interface surface: the
-// columnar, dictionary-encoded engine (the default; see columnar.go) and
-// the original row store, kept as the reference implementation the
-// differential harness compares against. All derived statistics —
-// distinct counts, projection indexes, group ids — are defined to be
-// byte-identical between the two.
+// A table stores its extension column by column, dictionary-encoded (see
+// columnar.go). Every derived statistic is defined by value semantics:
+// distinct counts and projection indexes group NULL-free value tuples
+// under the canonical value.Key equality, and group ids are dense in
+// first-occurrence row order. The test-side row model (model_test.go)
+// computes each primitive from that definition with value-keyed maps and
+// is the oracle the differential harness compares the engine against.
 package table
 
 import (
@@ -22,26 +23,6 @@ import (
 	"dbre/internal/value"
 )
 
-// Engine selects a table's backing store.
-type Engine uint8
-
-const (
-	// EngineColumnar stores each attribute as an []int32 code vector
-	// plus a per-column value dictionary. The default.
-	EngineColumnar Engine = iota
-	// EngineRow stores boxed rows ([]value.Value per tuple) — the
-	// reference engine.
-	EngineRow
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	if e == EngineRow {
-		return "row"
-	}
-	return "columnar"
-}
-
 // Row is one tuple; Row[i] is the value of the i-th schema attribute.
 type Row []value.Value
 
@@ -52,14 +33,13 @@ func (r Row) Clone() Row { return append(Row{}, r...) }
 type Table struct {
 	schema *relation.Schema
 	cols   map[string]int // attribute name → column index
-	// Exactly one of the two stores is active: rows for EngineRow,
-	// columns (with nrows) for EngineColumnar.
-	rows    []Row
+	// columns holds one dictionary-encoded vector per attribute, each
+	// nrows long.
 	columns []column
 	nrows   int
 	// uniq holds one index per declared UNIQUE constraint, used to
 	// enforce it on insert and by the batch appender's constraint
-	// post-pass; see uniq.go for the two (row / columnar) layouts.
+	// post-pass; see uniq.go.
 	uniq []*uniqIndex
 	// keyScratch is the reused packing buffer for composite-constraint
 	// probes; codeScratch holds the looked-up key codes of one row.
@@ -98,38 +78,24 @@ type Table struct {
 	abytesValid bool
 }
 
-// New creates an empty table for the given schema on the default
-// (columnar) engine.
-func New(schema *relation.Schema) *Table { return NewWithEngine(schema, EngineColumnar) }
-
-// NewWithEngine creates an empty table on the chosen backing store.
-func NewWithEngine(schema *relation.Schema, engine Engine) *Table {
+// New creates an empty table for the given schema.
+func New(schema *relation.Schema) *Table {
 	t := &Table{
-		schema: schema,
-		cols:   make(map[string]int, len(schema.Attrs)),
+		schema:  schema,
+		cols:    make(map[string]int, len(schema.Attrs)),
+		columns: make([]column, len(schema.Attrs)),
 	}
 	for i, a := range schema.Attrs {
 		t.cols[a.Name] = i
-	}
-	if engine == EngineColumnar {
-		t.columns = make([]column, len(schema.Attrs))
 	}
 	for _, u := range schema.Uniques {
 		idx := make([]int, 0, u.Len())
 		for _, name := range u.Names() {
 			idx = append(idx, t.cols[name])
 		}
-		t.uniq = append(t.uniq, newUniqIndex(idx, engine))
+		t.uniq = append(t.uniq, &uniqIndex{idx: idx})
 	}
 	return t
-}
-
-// Engine reports the table's backing store.
-func (t *Table) Engine() Engine {
-	if t.columns != nil {
-		return EngineColumnar
-	}
-	return EngineRow
 }
 
 // Schema returns the table's schema.
@@ -142,31 +108,17 @@ func (t *Table) Schema() *relation.Schema { return t.schema }
 func (t *Table) Version() uint64 { return t.version }
 
 // Len reports the number of tuples.
-func (t *Table) Len() int {
-	if t.columns != nil {
-		return t.nrows
-	}
-	return len(t.rows)
-}
+func (t *Table) Len() int { return t.nrows }
 
-// Row returns the i-th tuple. The caller must not modify it. On the
-// columnar engine every call materializes a fresh row; iteration-heavy
-// consumers should use ReadRow with a reused buffer instead.
-func (t *Table) Row(i int) Row {
-	if t.columns != nil {
-		return t.ReadRow(i, make(Row, len(t.columns)))
-	}
-	return t.rows[i]
-}
+// Row returns the i-th tuple. Every call materializes a fresh row;
+// iteration-heavy consumers should use ReadRow with a reused buffer
+// instead.
+func (t *Table) Row(i int) Row { return t.ReadRow(i, make(Row, len(t.columns))) }
 
-// ReadRow returns the i-th tuple, decoding into buf on the columnar
-// engine (buf is grown when too small) and returning internal storage on
-// the row engine. The returned row is only valid until the next ReadRow
-// with the same buffer; the caller must not modify or retain it.
+// ReadRow decodes the i-th tuple into buf (grown when too small). The
+// returned row is only valid until the next ReadRow with the same buffer;
+// the caller must not modify or retain it.
 func (t *Table) ReadRow(i int, buf Row) Row {
-	if t.columns == nil {
-		return t.rows[i]
-	}
 	t.ensureAll()
 	if len(buf) < len(t.columns) {
 		buf = make(Row, len(t.columns))
@@ -186,15 +138,12 @@ func (t *Table) ReadRow(i int, buf Row) Row {
 // Value returns the single attribute value at (row i, column col) without
 // materializing the tuple.
 func (t *Table) Value(i, col int) value.Value {
-	if t.columns != nil {
-		t.ensureCol(col)
-		c := &t.columns[col]
-		if code := c.codes[i]; code >= 0 {
-			return c.dict[code]
-		}
-		return value.Null
+	t.ensureCol(col)
+	c := &t.columns[col]
+	if code := c.codes[i]; code >= 0 {
+		return c.dict[code]
 	}
-	return t.rows[i][col]
+	return value.Null
 }
 
 // ColIndex returns the column index of the named attribute.
@@ -233,40 +182,35 @@ func keyOf(row Row, idx []int) (key string, hasNull bool) {
 }
 
 // appendRowKey appends the composite grouping key of stored row i over
-// the resolved columns to b, stopping early on the first NULL. Both
-// engines produce identical bytes: the canonical value.AppendKey encoding
-// plus a 0x1f terminator per attribute.
+// the resolved columns to b, stopping early on the first NULL. The bytes
+// equal keyOf's for the decoded row: the canonical value.AppendKey
+// encoding plus a 0x1f terminator per attribute.
 func (t *Table) appendRowKey(b []byte, i int, idx []int) (key []byte, hasNull bool) {
-	if t.columns != nil {
-		t.ensureCols(idx)
-		for _, c := range idx {
-			col := &t.columns[c]
-			code := col.codes[i]
-			if code < 0 {
-				return b, true
-			}
-			b = col.dict[code].AppendKey(b)
-			b = append(b, 0x1f)
-		}
-		return b, false
-	}
-	row := t.rows[i]
+	t.ensureCols(idx)
 	for _, c := range idx {
-		v := row[c]
-		if v.IsNull() {
+		col := &t.columns[c]
+		code := col.codes[i]
+		if code < 0 {
 			return b, true
 		}
-		b = v.AppendKey(b)
+		b = col.dict[code].AppendKey(b)
 		b = append(b, 0x1f)
 	}
 	return b, false
 }
 
 // Insert appends a tuple after checking arity, types, NOT NULL and UNIQUE
-// constraints. Type checking coerces where value.Coerce allows it. On the
-// columnar engine the row is dictionary-encoded only after every check
-// passed, so failed inserts never pollute the column dictionaries (the
-// single-attribute distinct count is the dictionary length).
+// constraints. Type checking coerces where value.Coerce allows it. The
+// row is dictionary-encoded only after every check passed, so failed
+// inserts never pollute the column dictionaries (the single-attribute
+// distinct count is the dictionary length).
+//
+// UNIQUE constraints are checked in declaration order, and each one a
+// row passes is registered before the next is checked: a UNIQUE key may
+// not be NULL (the paper's SQL convention), and a key equal (under
+// value.Key) to a registered one is a violation naming the registered
+// row. A rejected row therefore leaves the registrations of the
+// constraints before the one it failed behind (see registerPhantoms).
 func (t *Table) Insert(row Row) error {
 	if len(row) != len(t.schema.Attrs) {
 		return fmt.Errorf("table %s: arity %d, want %d", t.schema.Name, len(row), len(t.schema.Attrs))
@@ -288,26 +232,7 @@ func (t *Table) Insert(row Row) error {
 		}
 		stored[i] = v
 	}
-	if t.columns == nil {
-		for ui, u := range t.uniq {
-			key, hasNull := keyOf(stored, u.idx)
-			if hasNull {
-				// A UNIQUE declaration implies NOT NULL on its
-				// attributes (the paper's SQL convention).
-				return fmt.Errorf("table %s: NULL in key %v", t.schema.Name, t.schema.Uniques[ui])
-			}
-			if prev, dup := u.probeByKey(key); dup {
-				return fmt.Errorf("table %s: UNIQUE(%v) violated by row %d", t.schema.Name, t.schema.Uniques[ui], prev)
-			}
-			u.registerByKey(key, t.Len())
-		}
-		t.rows = append(t.rows, stored)
-		t.version++
-		t.noteRowMutation()
-		return nil
-	}
-	// Columnar engine: probe every constraint by dictionary code before
-	// touching storage. A key value that was never interned cannot be a
+	// Probe every constraint by dictionary code before touching storage. A key value that was never interned cannot be a
 	// duplicate of a stored row, so rejected rows do not pollute the
 	// dictionaries (len(dict) is the single-attribute distinct count);
 	// only the value-keyed phantom registrations of previously rejected
@@ -366,8 +291,8 @@ func (t *Table) Insert(row Row) error {
 
 // registerPhantoms records the value-keyed registrations Insert leaves
 // behind for the constraints preceding the one a rejected row failed:
-// the sequential semantics register constraint k before checking k+1,
-// and later duplicates of those keys must still be detected. The
+// constraint k is registered before k+1 is checked, and later
+// duplicates of those keys must still be detected. The
 // recorded index is the one the row would have received.
 func (t *Table) registerPhantoms(stored Row, upto int) {
 	for ui := 0; ui < upto; ui++ {
@@ -389,12 +314,8 @@ func (t *Table) MustInsert(row Row) {
 // explicitly copes with corrupted extensions). The row must match the
 // schema arity.
 func (t *Table) InsertUnchecked(row Row) {
-	if t.columns != nil {
-		t.ensureMutable()
-		t.appendEncoded(row)
-	} else {
-		t.rows = append(t.rows, row.Clone())
-	}
+	t.ensureMutable()
+	t.appendEncoded(row)
 	t.version++
 	t.noteRowMutation()
 }
@@ -428,43 +349,26 @@ func (t *Table) Project(attrs []string) ([][]value.Value, error) {
 
 // CountNonNull counts the tuples with no NULL among the given attributes
 // — the row base of uniqueness tests, FD supports and participation
-// analysis. On the columnar engine a single attribute is answered from
-// the column's running counter; multi-attribute counts scan only the code
-// vectors.
+// analysis. A single attribute is answered from the column's running
+// counter; multi-attribute counts scan only the code vectors.
 func (t *Table) CountNonNull(attrs []string) (int, error) {
 	idx, err := t.colIndexes(attrs)
 	if err != nil {
 		return 0, err
 	}
-	if t.columns != nil {
-		if len(idx) == 1 {
-			return t.columns[idx[0]].nonNull, nil
-		}
-		t.ensureCols(idx)
-		n := 0
-	scan:
-		for i := 0; i < t.nrows; i++ {
-			for _, c := range idx {
-				if t.columns[c].codes[i] < 0 {
-					continue scan
-				}
-			}
-			n++
-		}
-		return n, nil
+	if len(idx) == 1 {
+		return t.columns[idx[0]].nonNull, nil
 	}
+	t.ensureCols(idx)
 	n := 0
-	for _, row := range t.rows {
-		ok := true
+scan:
+	for i := 0; i < t.nrows; i++ {
 		for _, c := range idx {
-			if row[c].IsNull() {
-				ok = false
-				break
+			if t.columns[c].codes[i] < 0 {
+				continue scan
 			}
 		}
-		if ok {
-			n++
-		}
+		n++
 	}
 	return n, nil
 }
@@ -472,38 +376,23 @@ func (t *Table) CountNonNull(attrs []string) (int, error) {
 // DistinctCount implements the paper's ‖r[X]‖: the number of distinct
 // (NULL-free) value combinations over the given attributes, i.e. SQL
 // "select count(distinct X) from R". Tuples with a NULL in X are skipped,
-// matching COUNT(DISTINCT) semantics. On the columnar engine a single
-// attribute is answered in O(1) — the dictionary length — with no
-// allocation at all.
+// matching COUNT(DISTINCT) semantics. A single attribute is answered in
+// O(1) — the dictionary length — with no allocation at all.
 func (t *Table) DistinctCount(attrs []string) (int, error) {
-	if t.columns != nil {
-		if len(attrs) == 1 {
-			if c, ok := t.cols[attrs[0]]; ok {
-				// dictLen answers from restore metadata when the column
-				// section is still deferred — the O(1) count never
-				// forces a load.
-				return t.dictLen(c), nil
-			}
-			return 0, fmt.Errorf("table %s: unknown attribute %q", t.schema.Name, attrs[0])
-		}
-		p, err := t.Projection(attrs)
-		if err != nil {
-			return 0, err
-		}
-		return p.Len(), nil
-	}
-	// Row-engine fast path for the overwhelmingly common case — a single
-	// integer attribute (keys and foreign keys) — avoiding string keys.
 	if len(attrs) == 1 {
-		if set, ok := t.intSet(attrs[0]); ok {
-			return len(set), nil
+		if c, ok := t.cols[attrs[0]]; ok {
+			// dictLen answers from restore metadata when the column
+			// section is still deferred — the O(1) count never forces a
+			// load.
+			return t.dictLen(c), nil
 		}
+		return 0, fmt.Errorf("table %s: unknown attribute %q", t.schema.Name, attrs[0])
 	}
-	set, err := t.DistinctSet(attrs)
+	p, err := t.Projection(attrs)
 	if err != nil {
 		return 0, err
 	}
-	return len(set), nil
+	return p.Len(), nil
 }
 
 // intSet builds the distinct non-NULL int64 set of a single attribute; ok
@@ -513,27 +402,13 @@ func (t *Table) intSet(attr string) (map[int64]struct{}, bool) {
 	if !ok {
 		return nil, false
 	}
-	if t.columns != nil {
-		c := &t.columns[col]
-		if c.nonInt {
-			return nil, false
-		}
-		t.ensureCol(col)
-		set := make(map[int64]struct{}, len(c.dict))
-		for _, v := range c.dict {
-			set[v.Int()] = struct{}{}
-		}
-		return set, true
+	c := &t.columns[col]
+	if c.nonInt {
+		return nil, false
 	}
-	set := make(map[int64]struct{})
-	for _, row := range t.rows {
-		v := row[col]
-		if v.IsNull() {
-			continue
-		}
-		if v.Kind() != value.KindInt {
-			return nil, false
-		}
+	t.ensureCol(col)
+	set := make(map[int64]struct{}, len(c.dict))
+	for _, v := range c.dict {
 		set[v.Int()] = struct{}{}
 	}
 	return set, true
@@ -608,24 +483,24 @@ func (t *Table) GroupRows(attrs []string) (map[string][]int32, error) {
 // ‖r[X]‖, the dictionary answers join and containment queries, and
 // RowGroup drives the FD checks.
 //
-// On the columnar engine the dictionary is derived lazily (see
-// columnar.go): counting consumers never pay for it. Group ids are
-// bit-identical between engines — dense, in first-occurrence row order,
-// -1 for rows with a NULL among the attributes.
+// The dictionary is derived lazily (see columnar.go): counting consumers
+// never pay for it. Group ids are dense, in first-occurrence row order,
+// -1 for rows with a NULL among the attributes — the numbering a
+// value-keyed scan over the rows assigns.
 type Projection struct {
 	RowGroup []int32 // row index → group id, -1 for NULL rows
 	NonNull  int     // rows with no NULL among the attributes
 
 	groups int // number of distinct groups
 	// denseSteps/mapSteps record how many refinement steps the build ran
-	// through each remapping strategy (columnar engine only); the stats
-	// cache mirrors them into the observability counters.
+	// through each remapping strategy; the stats cache mirrors them into
+	// the observability counters.
 	denseSteps, mapSteps int64
 	// Exactly one dictionary flavor is populated (possibly lazily):
 	// ints for a single all-integer attribute, strs otherwise.
 	strs map[string]int32
 	ints map[int64]int32
-	lazy *lazyDict // non-nil on the columnar engine
+	lazy *lazyDict
 	// repsV caches the group → representative-row vector (see
 	// delta.go Reps); repsOnce guards its concurrent derivation.
 	repsOnce sync.Once
@@ -634,7 +509,7 @@ type Projection struct {
 
 // RefineSteps reports how many refinement steps this projection's build
 // executed through the dense direct-addressed strategy and through the
-// sparse map fallback. Zero for single-attribute and row-engine builds.
+// sparse map fallback. Zero for single-attribute builds.
 func (p *Projection) RefineSteps() (dense, mapped int64) {
 	return p.denseSteps, p.mapSteps
 }
@@ -646,7 +521,7 @@ func (p *Projection) Len() int { return p.groups }
 // projection is not int-flavored (multi-attribute, or a column holding
 // non-integer values). The caller must treat it as read-only.
 func (p *Projection) IntDict() map[int64]int32 {
-	if p.lazy != nil && p.lazy.intFlavor {
+	if p.lazy.intFlavor {
 		p.buildLazy()
 	}
 	return p.ints
@@ -656,59 +531,23 @@ func (p *Projection) IntDict() map[int64]int32 {
 // nil when the projection is int-flavored. The caller must treat it as
 // read-only.
 func (p *Projection) StrDict() map[string]int32 {
-	if p.lazy != nil && !p.lazy.intFlavor {
+	if !p.lazy.intFlavor {
 		p.buildLazy()
 	}
 	return p.strs
 }
 
-// Projection builds the projection index over attrs. On the columnar
-// engine this is pure integer arithmetic over the code vectors (see
-// columnarProjection); on the row engine a single integer attribute is
-// indexed by its raw int64 values and everything else uses the canonical
+// Projection builds the projection index over attrs: pure integer
+// arithmetic over the code vectors (see columnarProjection). The
+// dictionary is int-flavored — raw int64 values — for a single attribute
+// holding only integers, and otherwise keyed by the canonical
 // composite-key encoding shared with DistinctSet and GroupRows.
 func (t *Table) Projection(attrs []string) (*Projection, error) {
 	idx, err := t.colIndexes(attrs)
 	if err != nil {
 		return nil, err
 	}
-	if t.columns != nil {
-		return t.columnarProjection(idx), nil
-	}
-	p := &Projection{RowGroup: make([]int32, len(t.rows))}
-	if len(idx) == 1 && t.intProjection(idx[0], p) {
-		return p, nil
-	}
-	p.NonNull = 0 // a bailed-out int attempt may have counted some rows
-	index := make(map[string]int32)
-	var scratch []byte
-	for i, row := range t.rows {
-		scratch = scratch[:0]
-		hasNull := false
-		for _, c := range idx {
-			v := row[c]
-			if v.IsNull() {
-				hasNull = true
-				break
-			}
-			scratch = v.AppendKey(scratch)
-			scratch = append(scratch, 0x1f)
-		}
-		if hasNull {
-			p.RowGroup[i] = -1
-			continue
-		}
-		id, ok := index[string(scratch)]
-		if !ok {
-			id = int32(len(index))
-			index[string(scratch)] = id
-		}
-		p.RowGroup[i] = id
-		p.NonNull++
-	}
-	p.strs = index
-	p.groups = len(index)
-	return p, nil
+	return t.columnarProjection(idx), nil
 }
 
 // ProjectionFrom builds the projection index over attrs starting from an
@@ -723,14 +562,11 @@ func (t *Table) Projection(attrs []string) (*Projection, error) {
 // assigns ids in first-occurrence row order at every step, so the result
 // depends only on the partition refined, not on where refinement started
 // (pinned by TestProjectionFromPrefixEquivalence).
-//
-// On the row engine, prefix reuse does not apply and the call is
-// equivalent to Projection(attrs).
 func (t *Table) ProjectionFrom(prefix *Projection, prefixLen int, attrs []string) (*Projection, error) {
 	if prefixLen < 1 || prefixLen > len(attrs) {
 		return nil, fmt.Errorf("table %s: prefix length %d out of range for %v", t.schema.Name, prefixLen, attrs)
 	}
-	if t.columns == nil || prefix == nil || len(prefix.RowGroup) != t.nrows {
+	if prefix == nil || len(prefix.RowGroup) != t.nrows {
 		return t.Projection(attrs)
 	}
 	if prefixLen == len(attrs) {
@@ -741,32 +577,6 @@ func (t *Table) ProjectionFrom(prefix *Projection, prefixLen int, attrs []string
 		return nil, err
 	}
 	return t.refineFrom(prefix.RowGroup, prefix.groups, idx, prefixLen), nil
-}
-
-// intProjection fills p for a single integer column; false when a
-// non-integer value forces the generic encoding.
-func (t *Table) intProjection(col int, p *Projection) bool {
-	index := make(map[int64]int32)
-	for i, row := range t.rows {
-		v := row[col]
-		if v.IsNull() {
-			p.RowGroup[i] = -1
-			continue
-		}
-		if v.Kind() != value.KindInt {
-			return false
-		}
-		id, ok := index[v.Int()]
-		if !ok {
-			id = int32(len(index))
-			index[v.Int()] = id
-		}
-		p.RowGroup[i] = id
-		p.NonNull++
-	}
-	p.ints = index
-	p.groups = len(index)
-	return true
 }
 
 // DistinctRows returns one representative projected row per distinct
@@ -926,9 +736,7 @@ func (t *Table) Filter(pred func(Row) bool) []int {
 	n := t.Len()
 	for i := 0; i < n; i++ {
 		row := t.ReadRow(i, buf)
-		if t.columns != nil {
-			buf = row
-		}
+		buf = row
 		if pred(row) {
 			out = append(out, i)
 		}
@@ -941,12 +749,8 @@ func (t *Table) Filter(pred func(Row) bool) []int {
 func (t *Table) SortedRows() []Row {
 	n := t.Len()
 	out := make([]Row, n)
-	if t.columns != nil {
-		for i := 0; i < n; i++ {
-			out[i] = t.ReadRow(i, nil)
-		}
-	} else {
-		copy(out, t.rows)
+	for i := 0; i < n; i++ {
+		out[i] = t.ReadRow(i, nil)
 	}
 	sort.Slice(out, func(i, j int) bool { return compareRows(out[i], out[j]) < 0 })
 	return out
@@ -982,27 +786,16 @@ func (t *Table) CheckUnique(u relation.AttrSet) (ok bool, rowA, rowB int, err er
 type Database struct {
 	catalog *relation.Catalog
 	tables  map[string]*Table
-	engine  Engine
 }
 
-// NewDatabase creates a database with an empty table per catalog relation
-// on the default (columnar) engine.
+// NewDatabase creates a database with an empty table per catalog relation.
 func NewDatabase(catalog *relation.Catalog) *Database {
-	return NewDatabaseWith(catalog, EngineColumnar)
-}
-
-// NewDatabaseWith is NewDatabase on the chosen engine; relations added
-// later (AddRelation, ReplaceRelation) inherit it.
-func NewDatabaseWith(catalog *relation.Catalog, engine Engine) *Database {
-	db := &Database{catalog: catalog, tables: make(map[string]*Table, catalog.Len()), engine: engine}
+	db := &Database{catalog: catalog, tables: make(map[string]*Table, catalog.Len())}
 	for _, s := range catalog.Schemas() {
-		db.tables[s.Name] = NewWithEngine(s, engine)
+		db.tables[s.Name] = New(s)
 	}
 	return db
 }
-
-// Engine reports the backing store new relations are created on.
-func (db *Database) Engine() Engine { return db.engine }
 
 // Catalog returns the database's catalog.
 func (db *Database) Catalog() *relation.Catalog { return db.catalog }
@@ -1028,13 +821,13 @@ func (db *Database) AddRelation(s *relation.Schema) error {
 	if err := db.catalog.Add(s); err != nil {
 		return err
 	}
-	db.tables[s.Name] = NewWithEngine(s, db.engine)
+	db.tables[s.Name] = New(s)
 	return nil
 }
 
 // ReplaceRelation swaps the schema registered under s.Name (keeping its
-// catalog position) and installs a fresh empty table on the database's
-// engine — migrated rows are re-encoded by Insert as they arrive. The
+// catalog position) and installs a fresh empty table — migrated rows are
+// re-encoded by Insert as they arrive. The
 // previous table is returned so callers can migrate its data; the
 // Restruct algorithm uses this when splitting attributes out of a
 // relation.
@@ -1046,7 +839,7 @@ func (db *Database) ReplaceRelation(s *relation.Schema) (*Table, error) {
 	if err := db.catalog.Replace(s); err != nil {
 		return nil, err
 	}
-	db.tables[s.Name] = NewWithEngine(s, db.engine)
+	db.tables[s.Name] = New(s)
 	return old, nil
 }
 
@@ -1081,8 +874,7 @@ func valueBytes(v value.Value) int64 {
 }
 
 // ApproxBytes estimates the resident heap size of the table's extension:
-// code vectors, dictionaries and interning maps on the columnar engine,
-// boxed rows on the row engine. It is a sizing heuristic (within a small
+// code vectors, dictionaries and interning maps. It is a sizing heuristic (within a small
 // constant factor of live heap, ignoring allocator slack and slice spare
 // capacity), intended for admission control — the job server's per-job
 // memory ceiling — not for accounting.
@@ -1100,17 +892,11 @@ func (t *Table) ApproxBytes() int64 {
 		}
 		b += columnBytes(&t.columns[i])
 	}
-	for _, r := range t.rows {
-		b += 24 // slice header
-		for _, v := range r {
-			b += valueBytes(v)
-		}
-	}
-	// Memoize on the columnar engine once every column is resident (the
-	// batch appender then maintains the value by delta, see append.go).
-	// Frozen epochs stay un-memoized: they may be scanned concurrently,
-	// and writing the cache would race.
-	if t.columns != nil && !t.frozen && (t.lazy == nil || t.lazy.pending.Load() == 0) {
+	// Memoize once every column is resident (the batch appender then
+	// maintains the value by delta, see append.go). Frozen epochs stay
+	// un-memoized: they may be scanned concurrently, and writing the
+	// cache would race.
+	if !t.frozen && (t.lazy == nil || t.lazy.pending.Load() == 0) {
 		t.abytes, t.abytesValid = b, true
 	}
 	return b

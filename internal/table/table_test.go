@@ -445,18 +445,23 @@ func TestCompositeKeysSelfDelimiting(t *testing.T) {
 		{"s1", "x"}, {"s", "1x"}, // 's' is the string kind tag
 		{"i7", ""}, {"", "i7"},
 	}
-	for _, eng := range []Engine{EngineRow, EngineColumnar} {
-		tab := NewWithEngine(s, eng)
-		for _, p := range pairs {
-			tab.MustInsert(Row{value.NewString(p[0]), value.NewString(p[1])})
-		}
-		n, err := tab.DistinctCount([]string{"a", "b"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(pairs) {
-			t.Errorf("%v: DistinctCount = %d, want %d distinct pairs", eng, n, len(pairs))
-		}
+	tab := New(s)
+	for _, p := range pairs {
+		tab.MustInsert(Row{value.NewString(p[0]), value.NewString(p[1])})
+	}
+	n, err := tab.DistinctCount([]string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(pairs) {
+		t.Errorf("DistinctCount = %d, want %d distinct pairs", n, len(pairs))
+	}
+	set, err := tab.DistinctSet([]string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set) != len(pairs) {
+		t.Errorf("DistinctSet has %d keys, want %d distinct pairs", len(set), len(pairs))
 	}
 }
 
@@ -575,28 +580,21 @@ func TestDistinctCountIntFastPathAgreesWithGeneric(t *testing.T) {
 }
 
 func TestApproxBytes(t *testing.T) {
-	for _, engine := range []Engine{EngineColumnar, EngineRow} {
-		tab := NewWithEngine(simpleSchema(t), engine)
-		if tab.ApproxBytes() != 0 {
-			t.Errorf("%s: empty table ApproxBytes = %d, want 0", engine, tab.ApproxBytes())
-		}
-		empty := tab.ApproxBytes()
-		for i := int64(0); i < 100; i++ {
-			tab.MustInsert(Row{value.NewInt(i), value.NewInt(i % 3), value.NewString(strings.Repeat("x", 50))})
-		}
-		got := tab.ApproxBytes()
-		if got <= empty {
-			t.Fatalf("%s: ApproxBytes did not grow (%d)", engine, got)
-		}
-		// Sanity bounds: at least the 100 stored 50-byte strings'
-		// payload (columnar dictionaries dedupe to one entry), at most a
-		// few hundred bytes per row.
-		if engine == EngineRow && got < 100*50 {
-			t.Errorf("row engine ApproxBytes = %d, implausibly small", got)
-		}
-		if got > 100*1000 {
-			t.Errorf("%s: ApproxBytes = %d, implausibly large", engine, got)
-		}
+	tab := New(simpleSchema(t))
+	if tab.ApproxBytes() != 0 {
+		t.Errorf("empty table ApproxBytes = %d, want 0", tab.ApproxBytes())
+	}
+	for i := int64(0); i < 100; i++ {
+		tab.MustInsert(Row{value.NewInt(i), value.NewInt(i % 3), value.NewString(strings.Repeat("x", 50))})
+	}
+	// Sanity bounds: at least the three code vectors plus the one
+	// deduplicated 50-byte string, at most a few hundred bytes per row.
+	got := tab.ApproxBytes()
+	if got < 100*3*4+50 {
+		t.Errorf("ApproxBytes = %d, implausibly small", got)
+	}
+	if got > 100*1000 {
+		t.Errorf("ApproxBytes = %d, implausibly large", got)
 	}
 
 	// Database-level sum.

@@ -3,10 +3,12 @@
 # build, race-enabled tests (which include the differential equivalence
 # harness and the obs/stats/table allocation regressions), the storage
 # persistence/fault-injection suite, vet and tests of the separate
-# e2ebench module, the perf gate, and a short fuzz smoke of six fuzz
+# e2ebench module, the perf gate, and a short fuzz smoke of seven fuzz
 # targets (SQL loader, program scanner, CSV loader, job requests,
-# snapshots, delta partition refinement). Run from the repository root; the GitHub Actions workflow (.github/workflows/ci.yml)
-# invokes exactly this script so local runs reproduce CI bit for bit.
+# snapshots, delta partition refinement, the table-vs-row-model
+# differential). Run from the repository root; the GitHub Actions
+# workflow (.github/workflows/ci.yml) invokes exactly this script so
+# local runs reproduce CI bit for bit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,5 +75,8 @@ go test -run=^$ -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime="${FUZZTIME}" ./intern
 
 echo "==> fuzz smoke: FuzzDeltaRefine (${FUZZTIME})"
 go test -run=^$ -fuzz='^FuzzDeltaRefine$' -fuzztime="${FUZZTIME}" ./internal/table
+
+echo "==> fuzz smoke: FuzzTableModel (${FUZZTIME})"
+go test -run=^$ -fuzz='^FuzzTableModel$' -fuzztime="${FUZZTIME}" ./internal/table
 
 echo "==> ci.sh: all green"
