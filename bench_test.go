@@ -49,7 +49,7 @@ func BenchmarkB1_INDDiscovery(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ind.Discover(w.DB, q, expert.Deny{}); err != nil {
+				if _, _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{}, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -61,7 +61,7 @@ func BenchmarkB1_INDDiscovery(b *testing.B) {
 			q, _ := ScanPrograms(w.DB, w.Programs)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ind.Discover(w.DB, q, expert.Deny{}); err != nil {
+				if _, _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{}, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -77,7 +77,7 @@ func BenchmarkB2_INDGuidedVsExhaustive(b *testing.B) {
 		q, _ := ScanPrograms(w.DB, w.Programs)
 		b.Run(fmt.Sprintf("guided/dims=%d", dims), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ind.Discover(w.DB, q, expert.Deny{}); err != nil {
+				if _, _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{}, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -147,7 +147,7 @@ func BenchmarkB4_FDGuidedVsTANE(b *testing.B) {
 	}
 	b.Run("guided", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.DiscoverRHS(w.DB, lhs, nil, expert.Deny{}); err != nil {
+			if _, _, _, err := fd.DiscoverRHSCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{}, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -277,7 +277,7 @@ func BenchmarkINDParallel(b *testing.B) {
 	q, _ := ScanPrograms(w.DB, w.Programs)
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ind.Discover(w.DB, q, expert.Deny{}); err != nil {
+			if _, _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{}, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -285,7 +285,7 @@ func BenchmarkINDParallel(b *testing.B) {
 	for _, workers := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ind.DiscoverOptsCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{Workers: workers}); err != nil {
+				if _, _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{Workers: workers}, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -303,21 +303,21 @@ func BenchmarkINDDiscovery(b *testing.B) {
 	q, _ := ScanPrograms(w.DB, w.Programs)
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ind.Discover(w.DB, q, expert.Deny{}); err != nil {
+			if _, _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{}, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ind.DiscoverOptsCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
+			if _, _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(w.DB)}, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ind.DiscoverOptsCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(w.DB), Workers: -1}); err != nil {
+			if _, _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(w.DB), Workers: -1}, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -336,21 +336,21 @@ func BenchmarkRHSDiscovery(b *testing.B) {
 	}
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.DiscoverRHS(w.DB, lhs, nil, expert.Deny{}); err != nil {
+			if _, _, _, err := fd.DiscoverRHSCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{}, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.DiscoverRHSOptsCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
+			if _, _, _, err := fd.DiscoverRHSCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB)}, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.DiscoverRHSOptsCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB), Workers: -1}); err != nil {
+			if _, _, _, err := fd.DiscoverRHSCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB), Workers: -1}, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -281,7 +281,7 @@ func paperRun() (*core.Report, error) {
 
 func runE3(w io.Writer) error {
 	db := paperex.Database()
-	res, err := ind.Discover(db, paperex.Q(), paperex.Oracle())
+	res, _, err := ind.DiscoverCtx(context.Background(), db, paperex.Q(), paperex.Oracle(), ind.Opts{}, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -444,7 +444,7 @@ func runB1(w io.Writer) error {
 		wl := mustWorkload(spec)
 		q, _ := dbre.ScanPrograms(wl.DB, wl.Programs)
 		start := time.Now()
-		res, err := ind.Discover(wl.DB, q, expert.Deny{})
+		res, _, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{}, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -463,7 +463,7 @@ func runB1(w io.Writer) error {
 		wl := mustWorkload(spec)
 		q, _ := dbre.ScanPrograms(wl.DB, wl.Programs)
 		start := time.Now()
-		res, err := ind.Discover(wl.DB, q, expert.Deny{})
+		res, _, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{}, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -486,7 +486,7 @@ func runB2(w io.Writer) error {
 		q, _ := dbre.ScanPrograms(wl.DB, wl.Programs)
 
 		start := time.Now()
-		guided, err := ind.Discover(wl.DB, q, expert.Deny{})
+		guided, _, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{}, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -560,7 +560,7 @@ func runB4(w io.Writer) error {
 			lhs = append(lhs, relation.NewRef(l.Fact, l.FK))
 		}
 		start := time.Now()
-		guided, err := fd.DiscoverRHS(wl.DB, lhs, nil, expert.Deny{})
+		guided, _, _, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{}, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -712,13 +712,13 @@ func runB9(w io.Writer) error {
 	}
 
 	start := time.Now()
-	indUn, err := ind.Discover(wl.DB, q, expert.Deny{})
+	indUn, _, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{}, nil, nil)
 	if err != nil {
 		return err
 	}
 	indUnWall := time.Since(start)
 	start = time.Now()
-	indCa, err := ind.DiscoverOptsCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(wl.DB), Workers: gatedWorkers})
+	indCa, _, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(wl.DB), Workers: gatedWorkers}, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -728,13 +728,13 @@ func runB9(w io.Writer) error {
 	}
 
 	start = time.Now()
-	rhsUn, err := fd.DiscoverRHS(wl.DB, lhs, nil, expert.Deny{})
+	rhsUn, _, _, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{}, nil, nil)
 	if err != nil {
 		return err
 	}
 	rhsUnWall := time.Since(start)
 	start = time.Now()
-	rhsCa, err := fd.DiscoverRHSOptsCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB), Workers: gatedWorkers})
+	rhsCa, _, _, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB), Workers: gatedWorkers}, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -797,7 +797,7 @@ func runB11(w io.Writer) error {
 				cache.SetTracer(tr)
 			}
 			start := time.Now()
-			out, err := fd.DiscoverRHSOptsCtx(ctx, wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache})
+			out, _, _, err := fd.DiscoverRHSCtx(ctx, wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache}, nil, nil)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -914,7 +914,7 @@ func runB12(w io.Writer) error {
 			cache.SetPrefixReuse(!legacy)
 			runtime.GC()
 			start := time.Now()
-			out, err := fd.DiscoverRHSOptsCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache, Legacy: legacy, Workers: gatedWorkers})
+			out, _, _, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache, Legacy: legacy, Workers: gatedWorkers}, nil, nil)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -940,7 +940,7 @@ func runB12(w io.Writer) error {
 	tr := obs.NewTracer("b12")
 	cache := stats.NewCache(wl.DB)
 	cache.SetTracer(tr)
-	if _, err := fd.DiscoverRHSOptsCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache, Workers: gatedWorkers}); err != nil {
+	if _, _, _, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache, Workers: gatedWorkers}, nil, nil); err != nil {
 		return err
 	}
 	denseSteps := tr.Count(obs.CtrRefineDense)
@@ -1049,7 +1049,7 @@ func runA1(w io.Writer) error {
 		ex := appscan.NewExtractor(wl.DB.Catalog())
 		ex.TransitiveClosure = closure
 		q := ex.ExtractQ(snippets)
-		res, err := ind.Discover(wl.DB, q, expert.Deny{})
+		res, _, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{}, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -1344,7 +1344,7 @@ func runB14(w io.Writer) error {
 		lhs = append(lhs, relation.NewRef(l.Fact, l.FKs...))
 	}
 	start = time.Now()
-	rhsEx, err := fd.DiscoverRHSOptsCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB), Workers: gatedWorkers})
+	rhsEx, _, _, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB), Workers: gatedWorkers}, nil, nil)
 	if err != nil {
 		return err
 	}

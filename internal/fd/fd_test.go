@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,6 +12,13 @@ import (
 	"dbre/internal/table"
 	"dbre/internal/value"
 )
+
+// discoverRHS runs a cold, serial, uncached RHS-Discovery pass: the
+// reference configuration.
+func discoverRHS(db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle) (*Result, error) {
+	res, _, _, err := DiscoverRHSCtx(context.Background(), db, lhs, hidden, oracle, Opts{}, nil, nil)
+	return res, err
+}
 
 // build makes a table R(a,b,c) with the given integer rows (−1 means NULL).
 func build(t *testing.T, rows [][3]int64) *table.Table {
@@ -150,7 +158,7 @@ func TestDiscoverRHSBasics(t *testing.T) {
 	tab.MustInsert(table.Row{value.NewInt(1), value.NewInt(10), value.NewInt(101)})
 	tab.MustInsert(table.Row{value.NewInt(2), value.NewInt(20), value.NewInt(102)})
 
-	res, err := DiscoverRHS(db, []relation.Ref{relation.NewRef("R", "a")}, nil, expert.Deny{})
+	res, err := discoverRHS(db, []relation.Ref{relation.NewRef("R", "a")}, nil, expert.Deny{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +186,7 @@ func TestDiscoverRHSNotNullPruning(t *testing.T) {
 	}, relation.NewAttrSet("k"))
 	db := table.NewDatabase(relation.MustCatalog(s))
 	db.MustTable("R").MustInsert(table.Row{value.NewInt(1), value.NewInt(1), value.NewInt(1), value.NewInt(1)})
-	res, err := DiscoverRHS(db, []relation.Ref{relation.NewRef("R", "a")}, nil, expert.Deny{})
+	res, err := discoverRHS(db, []relation.Ref{relation.NewRef("R", "a")}, nil, expert.Deny{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +202,7 @@ func TestDiscoverRHSNotNullPruning(t *testing.T) {
 	}, relation.NewAttrSet("k"))
 	db2 := table.NewDatabase(relation.MustCatalog(s2))
 	db2.MustTable("R2").MustInsert(table.Row{value.NewInt(1), value.NewInt(1), value.NewInt(1), value.NewInt(1)})
-	res2, err := DiscoverRHS(db2, []relation.Ref{relation.NewRef("R2", "a")}, nil, expert.Deny{})
+	res2, err := discoverRHS(db2, []relation.Ref{relation.NewRef("R2", "a")}, nil, expert.Deny{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +225,7 @@ func TestDiscoverRHSHiddenObject(t *testing.T) {
 	ref := relation.NewRef("R", "a")
 	sc := expert.NewScripted()
 	sc.Hidden[ref.Key()] = true
-	res, err := DiscoverRHS(db, []relation.Ref{ref}, nil, sc)
+	res, err := discoverRHS(db, []relation.Ref{ref}, nil, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +236,7 @@ func TestDiscoverRHSHiddenObject(t *testing.T) {
 		t.Errorf("trace = %v", res.Traces[0])
 	}
 	// Refusing keeps it out.
-	res2, _ := DiscoverRHS(db, []relation.Ref{ref}, nil, expert.Deny{})
+	res2, _ := discoverRHS(db, []relation.Ref{ref}, nil, expert.Deny{})
 	if len(res2.Hidden) != 0 || res2.Traces[0].Outcome != "given-up" {
 		t.Errorf("H = %v, trace = %v", res2.Hidden, res2.Traces[0])
 	}
@@ -243,7 +251,7 @@ func TestDiscoverRHSSeededHiddenResolved(t *testing.T) {
 	db := table.NewDatabase(relation.MustCatalog(s))
 	db.MustTable("R").MustInsert(table.Row{value.NewInt(1), value.NewInt(10)})
 	ref := relation.NewRef("R", "a")
-	res, err := DiscoverRHS(db, nil, []relation.Ref{ref}, expert.Deny{})
+	res, err := discoverRHS(db, nil, []relation.Ref{ref}, expert.Deny{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +262,7 @@ func TestDiscoverRHSSeededHiddenResolved(t *testing.T) {
 	db2 := table.NewDatabase(relation.MustCatalog(s.Clone()))
 	db2.MustTable("R").MustInsert(table.Row{value.NewInt(1), value.NewInt(10)})
 	db2.MustTable("R").MustInsert(table.Row{value.NewInt(1), value.NewInt(20)})
-	res2, err := DiscoverRHS(db2, nil, []relation.Ref{ref}, expert.Deny{})
+	res2, err := discoverRHS(db2, nil, []relation.Ref{ref}, expert.Deny{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +285,7 @@ func TestDiscoverRHSEnforce(t *testing.T) {
 	auto := expert.NewAuto()
 	auto.MaxViolationRate = 0.05
 	ref := relation.NewRef("R", "a")
-	res, err := DiscoverRHS(db, []relation.Ref{ref}, nil, auto)
+	res, err := discoverRHS(db, []relation.Ref{ref}, nil, auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +307,7 @@ func TestDiscoverRHSValidationRejected(t *testing.T) {
 	sc := expert.NewScripted()
 	fd := deps.NewFD("R", relation.NewAttrSet("a"), relation.NewAttrSet("b"))
 	sc.AcceptFD[fd.String()] = false
-	res, err := DiscoverRHS(db, []relation.Ref{relation.NewRef("R", "a")}, nil, sc)
+	res, err := discoverRHS(db, []relation.Ref{relation.NewRef("R", "a")}, nil, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +318,7 @@ func TestDiscoverRHSValidationRejected(t *testing.T) {
 
 func TestDiscoverRHSUnknownRelation(t *testing.T) {
 	db := table.NewDatabase(relation.MustCatalog())
-	if _, err := DiscoverRHS(db, []relation.Ref{relation.NewRef("Ghost", "x")}, nil, nil); err == nil {
+	if _, err := discoverRHS(db, []relation.Ref{relation.NewRef("Ghost", "x")}, nil, nil); err == nil {
 		t.Error("unknown relation accepted")
 	}
 }
@@ -327,7 +335,7 @@ func TestE5_PaperFDs(t *testing.T) {
 		relation.NewRef("Department", "proj"),
 	}
 	hidden := []relation.Ref{relation.NewRef("Assignment", "dep")}
-	res, err := DiscoverRHS(db, lhs, hidden, paperex.Oracle())
+	res, err := discoverRHS(db, lhs, hidden, paperex.Oracle())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,50 +60,56 @@ type Result struct {
 	ExtensionChecks int
 }
 
-// DiscoverRHS runs the paper's RHS-Discovery algorithm. Inputs are the
-// database (for the extension and the catalog's keys and NOT NULLs), the
-// candidate left-hand sides LHS and the hidden-object seeds H produced by
-// LHS-Discovery, and the expert. Candidates are processed in canonical
-// order so runs are deterministic.
+// DiscoverRHSCtx runs the paper's RHS-Discovery algorithm. Inputs are
+// the database (for the extension and the catalog's keys and NOT
+// NULLs), the candidate left-hand sides LHS and the hidden-object seeds
+// H produced by LHS-Discovery, and the expert. Candidates are processed
+// in canonical order so runs are deterministic.
 //
-// DiscoverRHS is the uncached, serial reference implementation; the
-// differential harness compares DiscoverRHSOptsCtx against it.
-func DiscoverRHS(db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle) (*Result, error) {
-	plan, err := planRHS(db, lhs, hidden)
-	if err != nil {
-		return nil, err
+// The A → b extension checks are pure reads, independent of every
+// expert decision, so they run ahead of the sequential decision loop
+// (through the statistics cache and/or a worker pool per o) without
+// changing outcomes, traces, counters or the order of expert
+// consultations. The returned support table is what the decisions were
+// made from; a later pass re-validates against it.
+//
+// prev and baseRows are the history of a previous pass over the same,
+// since grown, database: its support table and each relation's row
+// count when it ran (absent means the relation is new). A nil prev is a
+// cold run. History is read only when o.Stats is set (see delta.go):
+// checks over unchanged relations are reused outright,
+// previously-clean checks are verified against the appended rows only,
+// previously-violated checks replay their refutation when the oracle's
+// enforcement policy is support-insensitive, and everything else —
+// fresh violations, violated checks under a support-sensitive policy,
+// checks without history — runs the full kernel. The decision loop is
+// the same either way, so a pass with history is bit-identical to a
+// cold run on the same state.
+//
+// When a tracer is installed (obs.NewContext), the plan/check/decide
+// stages become child spans (suffixed "-delta" when history is read),
+// and the fd-checks, fd-rhs-pruned and re-escalation counters are
+// published. Untraced contexts cost nothing (nil-span no-ops).
+func DiscoverRHSCtx(ctx context.Context, db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle, o Opts, prev SupportMap, baseRows map[string]int) (*Result, SupportMap, DeltaStats, error) {
+	var ds DeltaStats
+	if oracle == nil {
+		oracle = expert.NewAuto()
 	}
-	lookup := func(cand relation.Ref, b string) (expert.FDSupport, error) {
-		return Check(db.MustTable(cand.Rel), cand.Attrs.Names(), b)
+	if o.Stats == nil {
+		prev = nil
 	}
-	return decideRHS(db, plan, oracle, lookup)
-}
-
-// DiscoverRHSOptsCtx runs RHS-Discovery with the A → b extension
-// checks precomputed through the statistics cache and/or a worker pool.
-// The checks are pure reads and independent of every expert decision,
-// so hoisting them ahead of the sequential decision loop preserves the
-// algorithm's outcomes, traces, counters and the exact order of expert
-// consultations. When a tracer is installed (obs.NewContext), the
-// plan/check/decide stages become child spans, and the fd-checks and
-// fd-rhs-pruned counters are published. Untraced contexts cost nothing
-// (nil-span no-ops).
-func DiscoverRHSOptsCtx(ctx context.Context, db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle, o Opts) (*Result, error) {
-	res, _, err := DiscoverRHSSupportsCtx(ctx, db, lhs, hidden, oracle, o)
-	return res, err
-}
-
-// DiscoverRHSSupportsCtx is DiscoverRHSOptsCtx additionally returning
-// the per-(candidate, attribute) support table the decisions were made
-// from. The incremental re-validation path (delta.go) retains it as the
-// warm state a later delta run re-checks against.
-func DiscoverRHSSupportsCtx(ctx context.Context, db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle, o Opts) (*Result, SupportMap, error) {
+	spanName := func(name string) string {
+		if prev != nil {
+			return name + "-delta"
+		}
+		return name
+	}
 	tr := obs.FromContext(ctx)
-	_, psp := obs.StartSpan(ctx, "plan")
+	_, psp := obs.StartSpan(ctx, spanName("plan"))
 	plan, err := planRHS(db, lhs, hidden)
 	if err != nil {
 		psp.End()
-		return nil, nil, err
+		return nil, nil, ds, err
 	}
 	psp.SetInt("candidates", int64(len(plan.candidates)))
 	psp.End()
@@ -134,46 +140,98 @@ func DiscoverRHSSupportsCtx(ctx context.Context, db *table.Database, lhs, hidden
 	}
 	results := make([]expert.FDSupport, len(checks))
 	errs := make([]error, len(checks))
-	_, ksp := obs.StartSpan(ctx, "check")
+	kinds := make([]int8, len(checks)) // 0 reused, 1 delta-clean, 2 full, 3 broken, 4 refuted-replay
+	insensitive := expert.IsSupportInsensitive(oracle)
+	_, ksp := obs.StartSpan(ctx, spanName("check"))
 	stats.ForEach(len(checks), o.Workers, func(i int) {
-		cand := plan.candidates[checks[i].cand]
-		if o.Stats != nil {
-			if o.Legacy {
-				results[i], errs[i] = CheckStatsLegacy(o.Stats, cand.Rel, cand.Attrs.Names(), checks[i].attr)
-			} else {
-				results[i], errs[i] = CheckStats(o.Stats, cand.Rel, cand.Attrs.Names(), checks[i].attr)
-			}
+		cand, b := plan.candidates[checks[i].cand], checks[i].attr
+		old, have := prev[keyOf(checks[i])]
+		base, known := baseRows[cand.Rel]
+		rows := db.MustTable(cand.Rel).Len()
+		have = have && known && base <= rows
+		switch {
+		case have && rows == base:
+			results[i], kinds[i] = old, 0
 			return
+		// A previously-violated check stays violated under appends, so a
+		// support-insensitive enforcement policy replays its refusal
+		// without touching the extension at all. The stale support is
+		// carried forward as a certain lower bound.
+		case have && old.Violations > 0 && insensitive:
+			results[i], kinds[i] = old, 4
+			return
+		case have && old.Violations == 0:
+			sup, dirty, err := CheckDelta(o.Stats, cand.Rel, cand.Attrs.Names(), b, base)
+			if err != nil || !dirty {
+				results[i], kinds[i], errs[i] = sup, 1, err
+				return
+			}
+			kinds[i] = 3
+		default:
+			kinds[i] = 2
 		}
-		results[i], errs[i] = Check(db.MustTable(cand.Rel), cand.Attrs.Names(), checks[i].attr)
+		results[i], errs[i] = checkFull(db, o, cand, b)
 	})
-	ksp.SetInt("checks", int64(len(checks)))
-	ksp.SetInt("workers", int64(o.Workers))
-	ksp.End()
-	tr.Add(obs.CtrFDChecks, int64(len(checks)))
 	for i, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			ksp.End()
+			return nil, nil, ds, err
 		}
 		supports[keyOf(checks[i])] = results[i]
+		switch kinds[i] {
+		case 0:
+			ds.Reused++
+		case 1:
+			ds.DeltaChecked++
+		case 3:
+			ds.Escalated++
+			ds.Broken++
+		case 4:
+			ds.Refuted++
+		default:
+			ds.Escalated++
+		}
 	}
-	lookup := func(cand relation.Ref, b string) (expert.FDSupport, error) {
-		return supports[[2]string{cand.Key(), b}], nil
+	ksp.SetInt("checks", int64(len(checks)))
+	ksp.SetInt("workers", int64(o.Workers))
+	if prev != nil {
+		ksp.SetInt("reused", int64(ds.Reused))
+		ksp.SetInt("delta-checked", int64(ds.DeltaChecked))
+		ksp.SetInt("refuted", int64(ds.Refuted))
+		ksp.SetInt("escalated", int64(ds.Escalated))
 	}
-	_, dsp := obs.StartSpan(ctx, "decide")
-	res, err := decideRHSCtx(ctx, db, plan, oracle, lookup)
+	ksp.End()
+	tr.Add(obs.CtrFDChecks, int64(ds.DeltaChecked+ds.Escalated))
+	tr.Add(obs.CtrReescalations, int64(ds.Broken))
+
+	_, dsp := obs.StartSpan(ctx, spanName("decide"))
+	res, err := decideRHSCtx(ctx, db, plan, oracle, supports)
 	if err == nil {
 		dsp.SetInt("fds", int64(len(res.FDs)))
 		dsp.SetInt("hidden", int64(len(res.Hidden)))
 	}
 	dsp.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, ds, err
 	}
-	return res, supports, nil
+	return res, supports, ds, nil
 }
 
-// rhsPlan is the deterministic candidate schedule both variants share.
+// checkFull runs the full A → b kernel: the uncached reference Check
+// without a cache, the grouped CheckStatsLegacy when o.Legacy asks for
+// it, and the dense joint-counting CheckStats otherwise.
+func checkFull(db *table.Database, o Opts, cand relation.Ref, b string) (expert.FDSupport, error) {
+	switch {
+	case o.Stats == nil:
+		return Check(db.MustTable(cand.Rel), cand.Attrs.Names(), b)
+	case o.Legacy:
+		return CheckStatsLegacy(o.Stats, cand.Rel, cand.Attrs.Names(), b)
+	default:
+		return CheckStats(o.Stats, cand.Rel, cand.Attrs.Names(), b)
+	}
+}
+
+// rhsPlan is the deterministic candidate schedule of one run.
 type rhsPlan struct {
 	candidates []relation.Ref
 	pruned     []relation.AttrSet // T per candidate
@@ -219,21 +277,12 @@ func planRHS(db *table.Database, lhs, hidden []relation.Ref) (*rhsPlan, error) {
 	return plan, nil
 }
 
-// decideRHS replays the algorithm's decision branches over the planned
-// candidates, obtaining each A → b support from lookup (a direct scan in
-// the reference, a precomputed table in the cached/parallel variant).
-func decideRHS(db *table.Database, plan *rhsPlan, oracle expert.Oracle, lookup func(relation.Ref, string) (expert.FDSupport, error)) (*Result, error) {
-	return decideRHSCtx(context.Background(), db, plan, oracle, lookup)
-}
-
-// decideRHSCtx is decideRHS observing cancellation: a cancelled context
-// stops the loop between candidates, so a cancelled run performs at most
-// one more candidate's expert dialogue (which a ContextAware oracle
-// aborts immediately anyway).
-func decideRHSCtx(ctx context.Context, db *table.Database, plan *rhsPlan, oracle expert.Oracle, lookup func(relation.Ref, string) (expert.FDSupport, error)) (*Result, error) {
-	if oracle == nil {
-		oracle = expert.NewAuto()
-	}
+// decideRHSCtx replays the algorithm's decision branches over the
+// planned candidates, reading each A → b support from the precomputed
+// table. A cancelled context stops the loop between candidates, so a
+// cancelled run performs at most one more candidate's expert dialogue
+// (which a ContextAware oracle aborts immediately anyway).
+func decideRHSCtx(ctx context.Context, db *table.Database, plan *rhsPlan, oracle expert.Oracle, supports SupportMap) (*Result, error) {
 	res := &Result{}
 	inHidden := plan.inHidden
 	for ci, cand := range plan.candidates {
@@ -245,10 +294,7 @@ func decideRHSCtx(ctx context.Context, db *table.Database, plan *rhsPlan, oracle
 		trace := CandidateTrace{Candidate: cand, Pruned: t}
 		var accepted relation.AttrSet
 		for _, b := range t.Names() {
-			support, err := lookup(cand, b)
-			if err != nil {
-				return nil, err
-			}
+			support := supports[[2]string{cand.Key(), b}]
 			res.ExtensionChecks++
 			switch {
 			case support.Holds():

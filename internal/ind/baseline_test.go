@@ -134,7 +134,7 @@ func TestBaselineFindsPlantedINDsOnPaperDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guided, err := Discover(paperex.Database(), paperex.Q(), expert.Deny{})
+	guided, err := discover(paperex.Database(), paperex.Q(), expert.Deny{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ind
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -29,13 +30,20 @@ func smallDB(t *testing.T, left, right []int64) *table.Database {
 	return buildPair(left, right)
 }
 
+// discover runs a cold, serial, uncached IND-Discovery pass: the
+// reference configuration the parallel and cached runs are compared to.
+func discover(db *table.Database, q *deps.JoinSet, oracle expert.Oracle) (*Result, error) {
+	res, _, err := DiscoverCtx(context.Background(), db, q, oracle, Opts{}, nil, nil)
+	return res, err
+}
+
 func q1() *deps.JoinSet {
 	return deps.NewJoinSet(deps.NewEquiJoin(deps.NewSide("L", "x"), deps.NewSide("R", "y")))
 }
 
 func TestDiscoverInclusion(t *testing.T) {
 	db := smallDB(t, []int64{1, 2, 3}, []int64{1, 2, 3, 4, 5})
-	res, err := Discover(db, q1(), expert.Deny{})
+	res, err := discover(db, q1(), expert.Deny{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +64,7 @@ func TestDiscoverInclusion(t *testing.T) {
 
 func TestDiscoverEqualSetsBothDirections(t *testing.T) {
 	db := smallDB(t, []int64{1, 2}, []int64{1, 2})
-	res, err := Discover(db, q1(), expert.Deny{})
+	res, err := discover(db, q1(), expert.Deny{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +75,7 @@ func TestDiscoverEqualSetsBothDirections(t *testing.T) {
 
 func TestDiscoverEmptyIntersection(t *testing.T) {
 	db := smallDB(t, []int64{1, 2}, []int64{8, 9})
-	res, err := Discover(db, q1(), expert.Deny{})
+	res, err := discover(db, q1(), expert.Deny{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +86,7 @@ func TestDiscoverEmptyIntersection(t *testing.T) {
 
 func TestDiscoverNEIIgnored(t *testing.T) {
 	db := smallDB(t, []int64{1, 2, 3}, []int64{2, 3, 4})
-	res, err := Discover(db, q1(), expert.Deny{})
+	res, err := discover(db, q1(), expert.Deny{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +101,7 @@ func TestDiscoverNEIForced(t *testing.T) {
 		s := expert.NewScripted()
 		j := deps.NewEquiJoin(deps.NewSide("L", "x"), deps.NewSide("R", "y"))
 		s.NEI[j.Key()] = expert.NEIDecision{Action: action}
-		res, err := Discover(db, q1(), s)
+		res, err := discover(db, q1(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +131,7 @@ func TestDiscoverNEINewRelation(t *testing.T) {
 	s := expert.NewScripted()
 	j := deps.NewEquiJoin(deps.NewSide("L", "x"), deps.NewSide("R", "y"))
 	s.NEI[j.Key()] = expert.NEIDecision{Action: expert.NEINewRelation, Name: "Shared"}
-	res, err := Discover(db, q1(), s)
+	res, err := discover(db, q1(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +164,7 @@ func TestDiscoverNameCollision(t *testing.T) {
 	s := expert.NewScripted()
 	j := deps.NewEquiJoin(deps.NewSide("L", "x"), deps.NewSide("R", "y"))
 	s.NEI[j.Key()] = expert.NEIDecision{Action: expert.NEINewRelation, Name: "L"} // clashes
-	res, err := Discover(db, q1(), s)
+	res, err := discover(db, q1(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +176,7 @@ func TestDiscoverNameCollision(t *testing.T) {
 func TestDiscoverUnknownRelation(t *testing.T) {
 	db := smallDB(t, nil, nil)
 	q := deps.NewJoinSet(deps.NewEquiJoin(deps.NewSide("Ghost", "x"), deps.NewSide("R", "y")))
-	res, err := Discover(db, q, nil)
+	res, err := discover(db, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +184,7 @@ func TestDiscoverUnknownRelation(t *testing.T) {
 		t.Errorf("outcome = %v", res.Outcomes[0])
 	}
 	q2 := deps.NewJoinSet(deps.NewEquiJoin(deps.NewSide("L", "ghost"), deps.NewSide("R", "y")))
-	res2, _ := Discover(db, q2, nil)
+	res2, _ := discover(db, q2, nil)
 	if res2.Outcomes[0].Case != CaseError {
 		t.Errorf("outcome = %v", res2.Outcomes[0])
 	}
@@ -207,7 +215,7 @@ func TestOutcomeAndCaseStrings(t *testing.T) {
 func TestE3_PaperINDs(t *testing.T) {
 	db := paperex.Database()
 	rec := expert.NewRecording(paperex.Oracle())
-	res, err := Discover(db, paperex.Q(), rec)
+	res, err := discover(db, paperex.Q(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ import (
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, workers := range []int{-1, 0, 1, 2, 8} {
 		serialDB := paperex.Database()
-		serial, err := Discover(serialDB, paperex.Q(), paperex.Oracle())
+		serial, err := discover(serialDB, paperex.Q(), paperex.Oracle())
 		if err != nil {
 			t.Fatal(err)
 		}
 		parDB := paperex.Database()
-		par, err := DiscoverOptsCtx(context.Background(), parDB, paperex.Q(), paperex.Oracle(), Opts{Workers: workers})
+		par, _, err := DiscoverCtx(context.Background(), parDB, paperex.Q(), paperex.Oracle(), Opts{Workers: workers}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestParallelErrors(t *testing.T) {
 	db := smallDB(t, []int64{1}, []int64{1})
 	q := q1()
 	q.Add(deps.NewEquiJoin(deps.NewSide("Ghost", "x"), deps.NewSide("R", "y")))
-	res, err := DiscoverOptsCtx(context.Background(), db, q, expert.Deny{}, Opts{Workers: 4})
+	res, _, err := DiscoverCtx(context.Background(), db, q, expert.Deny{}, Opts{Workers: 4}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
